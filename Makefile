@@ -2,7 +2,7 @@
 
 PY ?= python3
 
-.PHONY: help install test lint analyze bench bench-fast bench-smoke serve-smoke serve-shard-smoke faults-smoke relay-smoke reproduce examples clean
+.PHONY: help install test lint analyze bench bench-fast bench-smoke bench-e2e serve-smoke serve-shard-smoke faults-smoke relay-smoke reproduce examples clean
 
 help:
 	@echo "install      pip install -e ."
@@ -10,7 +10,8 @@ help:
 	@echo "lint         concurrency/protocol lint + DT7xx lockset + DT8xx resource-flow + DT9xx protocol conformance + lint-marked tests"
 	@echo "analyze      DT7xx lockset + DT8xx resource-flow + DT9xx protoflow analyzers alone (src, against the baselines)"
 	@echo "bench        full benchmark suite"
-	@echo "bench-smoke  fast perf guardrails (decode, serve, shards, faults, relay)"
+	@echo "bench-smoke  fast perf guardrails (decode, serve, shards, faults, relay), each once"
+	@echo "bench-e2e    the end-to-end, layer-attributed benchmark (BENCHMARK.json's command; see e2ebench/README.md)"
 	@echo "reproduce    regenerate the paper-reproduction report"
 	@echo "examples     run every example script"
 	@echo "clean        remove build/test artifacts"
@@ -45,11 +46,18 @@ bench:
 bench-fast:
 	REPRO_BENCH_FAST=1 $(PY) -m pytest benchmarks/ --benchmark-only
 
-# Quick decode-throughput guardrail (seconds, not minutes): runs only the
-# perf_smoke-marked tests, which assert order-of-magnitude floors.
+# Quick perf guardrails (seconds, not minutes): runs every
+# perf_smoke-marked test once — the codec throughput floors plus the four
+# scenario guardrails below, which are the same marked files and exist as
+# targets only for selective runs.
 # PYTHONPATH=src so it works from a fresh checkout without `make install`.
-bench-smoke: serve-smoke serve-shard-smoke faults-smoke relay-smoke
+bench-smoke:
 	PYTHONPATH=src $(PY) -m pytest tests/ -m perf_smoke
+
+# The command BENCHMARK.json declares: all four workloads of the real
+# render -> codec -> wire -> serve -> relay path (e2ebench/README.md).
+bench-e2e:
+	$(PY) -m e2ebench run
 
 # Serving-layer guardrail: the fan-out benchmark at tiny scale
 # (4 viewers, 16 frames) — catches broker/cache regressions in seconds.

@@ -3,7 +3,7 @@
 The resilience layer's claim is that a lossy, jittery wide-area link
 degrades the stream (to cheaper tiers and, at the limit, frame
 skipping) instead of breaking it.  This bench sweeps a loss × jitter
-grid over :func:`~repro.serve.faultrun.run_with_faults` and records the
+grid over :func:`~repro.scenario.run_with_faults` and records the
 delivered-frame ratio (acked + deliberately stride-skipped, over
 published) plus the tier-degradation each cell provoked, and one
 disconnect scenario exercising reconnect-with-resume.
@@ -26,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _util import emit, fast_mode, fmt_row  # noqa: E402
 
 from repro.net.faults import FaultPlan  # noqa: E402
-from repro.serve.faultrun import run_with_faults  # noqa: E402
+from repro.scenario import run_with_faults  # noqa: E402
 
 LOSS_GRID = (0.0, 0.05, 0.1)
 JITTER_GRID = (0.0, 0.05, 0.1)

@@ -29,7 +29,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _util import emit, fast_mode, fmt_row  # noqa: E402
 
 from repro.net.faults import FaultPlan  # noqa: E402
-from repro.relay.topology import run_relay_topology  # noqa: E402
+from repro.scenario import run_relay_topology  # noqa: E402
 
 SEED = 1234
 PARITY_PLAN = FaultPlan(seed=SEED, loss_ratio=0.05, jitter_s=0.1)

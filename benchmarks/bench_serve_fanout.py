@@ -13,7 +13,7 @@ republished, pure cache hits).  Two sweeps:
   2-worker encode pool at >1 shard, and only ``AUDIT_VIEWERS`` viewers
   decode (the rest ack without decompressing, so the numbers measure
   serving capacity rather than this one process's decode CPU — see
-  ``repro.serve.fanout``).  Warm fps should be flat-or-rising with
+  ``repro.scenario``).  Warm fps should be flat-or-rising with
   viewer count at >=2 shards; its rows also carry warm delivery-latency
   percentiles (publish->receipt).
 
@@ -36,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from _util import emit, fast_mode, fmt_row  # noqa: E402
 
-from repro.serve.fanout import run_fanout, synthetic_frames  # noqa: E402
+from repro.scenario import run_fanout, synthetic_frames  # noqa: E402
 
 VIEWER_COUNTS = (1, 4, 16, 64)
 SHARD_COUNTS = (1, 2, 4)

@@ -417,11 +417,9 @@ def cmd_autotune(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    import threading
     import time
 
-    from repro.serve import SessionBroker, SessionRouter
-    from repro.serve.fanout import synthetic_frames
+    from repro.scenario import Topology, synthetic_frames
 
     if args.synthetic:
         frames = synthetic_frames(args.frames, size=args.size)
@@ -439,43 +437,23 @@ def cmd_serve(args) -> int:
             for t in range(min(args.frames, dataset.n_steps))
         ]
     n_slow = min(args.slow, args.viewers)
-    if args.shards > 1 or args.encode_workers > 0:
-        broker = SessionRouter(
-            shards=args.shards,
-            encode_workers=args.encode_workers,
-            credit_limit=args.credits,
-        )
-    else:
-        broker = SessionBroker(credit_limit=args.credits)
-    with broker:
-        fast = [broker.join(f"fast{i}") for i in range(args.viewers - n_slow)]
-        slow = [broker.join(f"slow{i}") for i in range(n_slow)]
-        stop = threading.Event()
-
-        def drain(handle):
-            while not stop.is_set():
-                try:
-                    handle.next_frame(timeout=0.2)
-                except TimeoutError:
-                    continue
-                except ConnectionError:
-                    return
-
-        threads = [
-            threading.Thread(target=drain, args=(h,), daemon=True) for h in fast
+    with Topology(
+        shards=args.shards,
+        encode_workers=args.encode_workers,
+        credit_limit=args.credits,
+    ) as topo:
+        broker = topo.origin
+        fast = [
+            topo.add_viewer(f"fast{i}") for i in range(args.viewers - n_slow)
         ]
-        for t in threads:
-            t.start()
+        # joined but never drained: they stress the tier controller
+        slow = [broker.join(f"slow{i}") for i in range(n_slow)]
         t0 = time.perf_counter()
-        for step, image in enumerate(frames):
-            broker.publish(image, time_step=step, frame_id=step)
-        broker.drain(timeout=10.0, names=[h.name for h in fast])
+        topo.publish(frames)
+        broker.drain(timeout=10.0, names=[v.name for v in fast])
         elapsed = time.perf_counter() - t0
         stats = broker.stats()
-        stop.set()
-        for t in threads:
-            t.join(timeout=5.0)
-        for h in fast + slow:
+        for h in slow:
             h.leave()
     print(stats.summary())
     print(f"delivered {stats.total_frames_sent} frames "
@@ -486,7 +464,7 @@ def cmd_serve(args) -> int:
 
 def cmd_faults(args) -> int:
     from repro.net.faults import FaultPlan
-    from repro.serve.faultrun import run_with_faults
+    from repro.scenario import run_with_faults
 
     plan = FaultPlan(
         seed=args.seed,
@@ -533,7 +511,8 @@ def cmd_faults(args) -> int:
 
 
 def cmd_relay(args) -> int:
-    from repro.relay import PrefetchPolicy, run_relay_topology
+    from repro.relay import PrefetchPolicy
+    from repro.scenario import run_relay_topology
 
     report = run_relay_topology(
         n_relays=1,
@@ -557,7 +536,7 @@ def cmd_relay(args) -> int:
 
 def cmd_relay_topology(args) -> int:
     from repro.net.faults import FaultPlan
-    from repro.relay import run_relay_topology
+    from repro.scenario import run_relay_topology
 
     plan = None
     if args.loss or args.jitter:

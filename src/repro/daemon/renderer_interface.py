@@ -10,6 +10,7 @@ frames.
 
 from __future__ import annotations
 
+import copy
 import threading
 from collections import deque
 from typing import Any
@@ -52,7 +53,13 @@ class RendererInterface:  # speaks: renderer
         if (daemon is None) == (connection is None):
             raise ValueError("provide exactly one of daemon or connection")
         self.name = name
-        self._codec = get_codec(codec) if isinstance(codec, str) else codec
+        self._codec_lock = threading.Lock()
+        #: the current method — a pristine template, never encoded with
+        self._codec = (  # guarded-by: _codec_lock
+            get_codec(codec) if isinstance(codec, str) else codec
+        )
+        #: copies of ``_codec`` no sender is using right now
+        self._idle_codecs: list[Codec] = []  # guarded-by: _codec_lock
         self._controls: deque[ControlMessage] = deque()
         self._controls_lock = threading.Lock()
         if connection is not None:
@@ -69,7 +76,32 @@ class RendererInterface:  # speaks: renderer
 
     @property
     def codec(self) -> Codec:
-        return self._codec
+        with self._codec_lock:
+            return self._codec
+
+    def _encode(self, image: np.ndarray) -> tuple[str, bytes]:
+        """Compress on a codec instance no other sender holds; returns
+        ``(codec name, payload)``.
+
+        ``run_pipelined`` group threads and SPMD parallel-compression
+        ranks send concurrently, and a codec's
+        :class:`~repro.compress.context.CodecContext` scratch is
+        single-threaded.  Each encode checks a private copy out of the
+        idle list (cloning the template when every copy is busy) and
+        returns it afterwards, so encodes stay parallel, the copies keep
+        their warm tables across frames, and a ``set_codec`` in between
+        simply orphans the old method's copies.
+        """
+        with self._codec_lock:
+            template = self._codec
+            codec = self._idle_codecs.pop() if self._idle_codecs else None
+        if codec is None:
+            codec = copy.deepcopy(template)
+        payload = codec.encode_image(image)
+        with self._codec_lock:
+            if self._codec is template:
+                self._idle_codecs.append(codec)
+        return codec.name, payload
 
     # -- frames --------------------------------------------------------------
 
@@ -85,11 +117,11 @@ class RendererInterface:  # speaks: renderer
         Returns the payload size in bytes (what crossed the wire).
         """
         fid = self._next_id(frame_id)
-        payload = self._codec.encode_image(image)
+        codec_name, payload = self._encode(image)
         msg = FrameMessage(
             frame_id=fid,
             time_step=time_step,
-            codec=self._codec.name,
+            codec=codec_name,
             payload=payload,
             image_shape=(image.shape[0], image.shape[1]),
         )
@@ -112,22 +144,11 @@ class RendererInterface:  # speaks: renderer
         waived."  Returns per-piece payload sizes.
         """
         fid = self._next_id(frame_id)
-        sizes = []
-        for index, (rows, strip) in enumerate(split_tiles(image, n_pieces)):
-            payload = self._codec.encode_image(np.ascontiguousarray(strip))
-            msg = FrameMessage(
-                frame_id=fid,
-                time_step=time_step,
-                codec=self._codec.name,
-                payload=payload,
-                piece_index=index,
-                n_pieces=n_pieces,
-                row_range=rows,
-                image_shape=(image.shape[0], image.shape[1]),
-            )
-            self.conn.send(msg.encode())
-            sizes.append(len(payload))
-        return sizes
+        shape = (image.shape[0], image.shape[1])
+        return [
+            self.send_piece(strip, time_step, fid, index, n_pieces, rows, shape)
+            for index, (rows, strip) in enumerate(split_tiles(image, n_pieces))
+        ]
 
     def send_piece(
         self,
@@ -140,11 +161,11 @@ class RendererInterface:  # speaks: renderer
         image_shape: tuple[int, int],
     ) -> int:
         """Ship one already-owned strip (per-node parallel compression)."""
-        payload = self._codec.encode_image(np.ascontiguousarray(strip))
+        codec_name, payload = self._encode(np.ascontiguousarray(strip))
         msg = FrameMessage(
             frame_id=frame_id,
             time_step=time_step,
-            codec=self._codec.name,
+            codec=codec_name,
             payload=payload,
             piece_index=piece_index,
             n_pieces=n_pieces,
@@ -171,9 +192,12 @@ class RendererInterface:  # speaks: renderer
                 return
             if isinstance(msg, ControlMessage):
                 if msg.tag == "set_codec":
-                    self._codec = get_codec(
+                    codec = get_codec(
                         msg.params["name"], **msg.params.get("options", {})
                     )
+                    with self._codec_lock:
+                        self._codec = codec
+                        self._idle_codecs = []
                 with self._controls_lock:
                     self._controls.append(msg)
 

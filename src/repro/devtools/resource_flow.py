@@ -297,7 +297,7 @@ class _ModuleScan:
         self.aliases = self._collect_aliases()
         self.ownership = self._collect_ownership(source)
         #: module-local classes with a shutdown surface act like the
-        #: curated daemon constructors (e.g. faultrun._ResilientViewer)
+        #: curated daemon constructors (e.g. scenario.Viewer)
         self.local_daemons: set[str] = {
             node.name
             for node in tree.body

@@ -60,8 +60,10 @@ from repro.serve.stats import SessionStats
 
 __all__ = ["FrameRelay", "RelaySession"]
 
-#: retry policy for relay-to-origin / relay-to-peer links: these are the
-#: WAN hops, so retransmission is aggressive (matches faultrun's)
+#: retry policy for the WAN hops — relay-to-origin, relay-to-peer, and
+#: every fault-shaped viewer link the scenario runner joins over:
+#: aggressive enough that a 10% lossy link still delivers (0.9999+ after
+#: 6 attempts), with small backoff so retries do not stall the publisher
 RELAY_RETRY = RetryPolicy(max_attempts=6, backoff_s=0.002, max_backoff_s=0.05)
 
 #: how long the upstream links must be quiet before a session waiting

@@ -9,38 +9,23 @@ relay pulls those frames from the owner instead of the origin, so a
 frame crosses the origin's WAN uplink once per relay *set*, not once
 per relay.
 
-Ownership comes from a consistent-hash ring (virtual nodes per relay,
-like the classic Karger construction): when a relay dies and is removed
-from the ring, only the chunks it owned move — the surviving relays'
-assignments are untouched, which is what keeps a mid-stream failover
-from re-fetching the whole timeline.
-
-Hashes are :func:`hashlib.blake2b` over stable strings, so the mapping
-is a pure function of (relay names, chunk index) — deterministic across
-processes and runs, never seeded from a clock or global RNG.
+Ownership comes from the one consistent-hash ring,
+:class:`~repro.net.hashring.HashRing` (the same ring the session router
+shards on): when a relay dies and is removed, only the chunks it owned
+move — the surviving relays' assignments are untouched, which is what
+keeps a mid-stream failover from re-fetching the whole timeline.  This
+module adds only the chunking: which key a frame id hashes under.
 """
 
 from __future__ import annotations
 
-import bisect
-import hashlib
-import threading
+from repro.net.hashring import HashRing
 
 __all__ = ["RelayRing"]
 
 
-def _hash64(text: str) -> int:
-    return int.from_bytes(
-        hashlib.blake2b(text.encode(), digest_size=8).digest(), "big"
-    )
-
-
-class RelayRing:
-    """Maps frame-id chunks to owning relay names, consistently.
-
-    Thread-safe: ingest pumps consult ``owner()`` while a failover path
-    calls ``remove()``.
-    """
+class RelayRing(HashRing):
+    """Maps frame-id chunks to owning relay names, consistently."""
 
     def __init__(
         self,
@@ -51,45 +36,10 @@ class RelayRing:
     ):
         if chunk_frames < 1:
             raise ValueError("chunk_frames must be >= 1")
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
         self.chunk_frames = chunk_frames
-        self.vnodes = vnodes
-        self._lock = threading.Lock()
-        #: sorted (point, relay-name) pairs forming the ring
-        self._points: list[tuple[int, str]] = []  # guarded-by: _lock
-        self._relays: set[str] = set()  # guarded-by: _lock
-        for name in relays:
-            self.add(name)
+        super().__init__(relays, vnodes=vnodes)
 
-    def add(self, name: str) -> None:
-        with self._lock:
-            if name in self._relays:
-                return
-            self._relays.add(name)
-            for v in range(self.vnodes):
-                self._points.append((_hash64(f"{name}#{v}"), name))
-            self._points.sort()
-
-    def remove(self, name: str) -> None:
-        """Drop a (dead) relay; its chunks fall to the ring's survivors."""
-        with self._lock:
-            if name not in self._relays:
-                return
-            self._relays.discard(name)
-            self._points = [p for p in self._points if p[1] != name]
-
-    def relays(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(sorted(self._relays))
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._relays)
-
-    def __contains__(self, name: str) -> bool:
-        with self._lock:
-            return name in self._relays
+    relays = HashRing.names
 
     def chunk_of(self, frame_id: int) -> int:
         return frame_id // self.chunk_frames
@@ -97,14 +47,7 @@ class RelayRing:
     def owner(self, frame_id: int) -> str | None:
         """The relay owning ``frame_id``'s chunk (``None`` on an empty
         ring — every relay then falls back to the origin)."""
-        with self._lock:
-            if not self._points:
-                return None
-            point = _hash64(f"chunk:{self.chunk_of(frame_id)}")
-            index = bisect.bisect_right(self._points, (point, "￿"))
-            if index == len(self._points):
-                index = 0
-            return self._points[index][1]
+        return self.owner_of(f"chunk:{self.chunk_of(frame_id)}")
 
     def owned_chunks(self, name: str, n_frames: int) -> list[int]:
         """Chunk indices of ``[0, n_frames)`` that ``name`` owns."""

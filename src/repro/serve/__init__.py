@@ -20,15 +20,14 @@ A new subsystem layered over the §4.1 daemon/transport stack for the
   N broker shards behind consistent-hash session routing, with cold
   encodes on a shared-memory multi-process worker pool.
 
-``repro.serve.fanout`` measures delivered frames/sec against viewer
-count (the ``bench_serve_fanout`` benchmark and ``make serve-smoke``).
+Session routing hashes on the one ring, :mod:`repro.net.hashring`.  The
+scenario harnesses that drive this layer end to end (fan-out sweep,
+fault grid) live above both tiers in :mod:`repro.scenario`.
 """
 
 from repro.serve.broker import SessionBroker
 from repro.serve.cache import FrameCache
 from repro.serve.encode_pool import EncodeFailed, EncodePool
-from repro.serve.fanout import measure_fanout, run_fanout, synthetic_frames
-from repro.serve.faultrun import run_with_faults, sweep_faults
 from repro.serve.shard import SessionRouter, shard_for
 from repro.serve.session import (
     AdaptiveQualityController,
@@ -58,9 +57,4 @@ __all__ = [
     "ServeStats",
     "SessionStats",
     "TierTransition",
-    "measure_fanout",
-    "run_fanout",
-    "synthetic_frames",
-    "run_with_faults",
-    "sweep_faults",
 ]

@@ -8,11 +8,12 @@ FrameBuffer's split — **static ownership, dynamic aggregation** — to
 sessions instead of tiles:
 
 - *static ownership*: a session name hashes onto exactly one broker
-  shard via a consistent-hash ring (blake2b over virtual nodes, the
-  same construction as :class:`~repro.relay.ring.RelayRing`).  All of
-  that session's join/leave/seek/ack traffic only ever touches its
-  owning shard's locks, and a reconnect-with-resume re-routes to the
-  same shard — where the parked resume state lives — by construction.
+  shard via the one consistent-hash ring,
+  :class:`~repro.net.hashring.HashRing` (the ring the relay tier chunks
+  frame ranges over).  All of that session's join/leave/seek/ack
+  traffic only ever touches its owning shard's locks, and a
+  reconnect-with-resume re-routes to the same shard — where the parked
+  resume state lives — by construction.
 - *dynamic aggregation*: stats are merged on demand from per-shard
   atomic snapshots (:meth:`~repro.serve.stats.ServeStats.merge`);
   nothing global is maintained on the hot path.
@@ -30,8 +31,6 @@ router exactly like a viewer and lands on the shard owning its name.
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import queue
 import threading
 import time
@@ -39,36 +38,13 @@ import time
 import numpy as np
 
 from repro.devtools.lockset import guarded_by
+from repro.net.hashring import HashRing
 from repro.serve.broker import SessionBroker
 from repro.serve.encode_pool import EncodePool
 from repro.serve.session import ViewerHandle
 from repro.serve.stats import ServeStats
 
 __all__ = ["SessionRouter", "shard_for"]
-
-
-def _hash64(text: str) -> int:
-    return int.from_bytes(
-        hashlib.blake2b(text.encode(), digest_size=8).digest(), "big"
-    )
-
-
-def _ring_points(shard_names, vnodes: int) -> list[tuple[int, str]]:
-    points = [
-        (_hash64(f"{name}#{v}"), name)
-        for name in shard_names
-        for v in range(vnodes)
-    ]
-    points.sort()
-    return points
-
-
-def _owner(points: list[tuple[int, str]], session_name: str) -> str:
-    point = _hash64(f"session:{session_name}")
-    index = bisect.bisect_right(points, (point, "￿"))
-    if index == len(points):
-        index = 0
-    return points[index][1]
 
 
 def shard_for(session_name: str, shard_names, vnodes: int = 64) -> str:
@@ -78,10 +54,12 @@ def shard_for(session_name: str, shard_names, vnodes: int = 64) -> str:
     strings), and consistent: changing the shard set only moves the
     sessions whose owner left or arrived.
     """
-    names = list(shard_names)
-    if not names:
+    owner = HashRing(shard_names, vnodes=vnodes).owner_of(
+        f"session:{session_name}"
+    )
+    if owner is None:
         raise ValueError("shard_for needs at least one shard name")
-    return _owner(_ring_points(names, vnodes), session_name)
+    return owner
 
 
 class _ShardPump:
@@ -186,7 +164,7 @@ class SessionRouter:
             )
             for name in self._shard_names
         }
-        self._points = _ring_points(self._shard_names, vnodes)
+        self._ring = HashRing(self._shard_names, vnodes=vnodes)
         # a single shard gains nothing from a publish pump (there is no
         # cross-shard fan-out to parallelize) and would pay one queue
         # handoff per frame: the degenerate router publishes inline,
@@ -215,7 +193,7 @@ class SessionRouter:
 
     def shard_of(self, session_name: str) -> str:
         """The shard owning ``session_name`` (stable across rejoins)."""
-        return _owner(self._points, session_name)
+        return self._ring.owner_of(f"session:{session_name}")
 
     def shard(self, shard_name: str) -> SessionBroker:
         return self._brokers[shard_name]

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.compress import psnr
 from repro.core import RemoteVisualizationSession
 from repro.data import TimeVaryingDataset
 from repro.data.fields import jet_field
@@ -89,6 +90,26 @@ class TestRunPipelined:
         ) as sess:
             report = sess.run_pipelined(n_groups=1)
         assert [f.time_step for f in report.frames] == [0, 1, 2]
+
+    @pytest.mark.parametrize("codec", ["jpeg", "jpeg+lzo"])
+    def test_concurrent_groups_do_not_share_codec_scratch(self, codec):
+        """Regression: both group threads encoded through the renderer
+        interface's one codec instance and trampled each other's
+        ``CodecContext`` scratch — roughly one run in three died with
+        ``CodecError: jpeg: block terminator count mismatch`` (or
+        shipped a garbled frame).  Repeated so the race would have to
+        lose every round to slip through."""
+        ds = slow_dataset(latency=0.0)
+        cam = Camera(image_size=(64, 64))
+        with RemoteVisualizationSession(
+            ds, group_size=1, camera=cam, codec=codec
+        ) as sess:
+            reference = [sess.render_step(t) for t in range(8)]
+            for _ in range(6):
+                report = sess.run_pipelined(range(8), n_groups=2)
+                assert [f.time_step for f in report.frames] == list(range(8))
+                for frame in report.frames:
+                    assert psnr(reference[frame.time_step], frame.image) > 25.0
 
     def test_worker_error_propagates(self):
         def bad_gen(t):

@@ -10,10 +10,9 @@ import threading
 import time
 
 from repro.net.faults import FaultPlan
-from repro.relay import FrameRelay, PrefetchPolicy, RelayRing, run_relay_topology
+from repro.relay import FrameRelay, PrefetchPolicy, RelayRing
+from repro.scenario import run_relay_topology, run_with_faults, synthetic_frames
 from repro.serve.broker import SessionBroker
-from repro.serve.fanout import synthetic_frames
-from repro.serve.faultrun import run_with_faults
 
 
 class TestRelayKillFailover:

@@ -10,7 +10,7 @@ surfaces to the application as an error.
 import pytest
 
 from repro.net.faults import FaultPlan
-from repro.serve.faultrun import run_with_faults
+from repro.scenario import run_with_faults
 
 pytestmark = pytest.mark.perf_smoke
 

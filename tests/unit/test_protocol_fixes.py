@@ -29,8 +29,8 @@ from repro.devtools.waiting import wait_until
 from repro.net.transport import FramedConnection
 from repro.relay import FrameRelay
 from repro.render import Camera
+from repro.scenario import synthetic_frames
 from repro.serve.broker import SessionBroker
-from repro.serve.fanout import synthetic_frames
 from repro.serve.session import ViewerHandle
 
 

@@ -10,8 +10,8 @@ import time
 import pytest
 
 from repro.relay import FrameRelay, RelayRing
+from repro.scenario import synthetic_frames
 from repro.serve.broker import SessionBroker
-from repro.serve.fanout import synthetic_frames
 
 N_FRAMES = 12
 SIZE = 16

@@ -10,7 +10,7 @@ re-fetching.
 
 import pytest
 
-from repro.relay import run_relay_topology
+from repro.scenario import run_relay_topology
 
 pytestmark = pytest.mark.perf_smoke
 

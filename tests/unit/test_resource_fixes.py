@@ -20,11 +20,9 @@ from repro.daemon.protocol import HelloMessage
 from repro.devtools.locktrace import checked
 from repro.net.transport import ChannelClosed
 from repro.relay.daemon import FrameRelay
-from repro.relay.topology import _teardown as topology_teardown
+from repro.scenario import Topology, Viewer, _teardown
 from repro.serve import encode_pool as encode_pool_mod
 from repro.serve.encode_pool import EncodePool
-from repro.serve.faultrun import _ResilientViewer
-from repro.serve.faultrun import _teardown as faultrun_teardown
 
 
 class TestEncodePoolSubmit:
@@ -160,16 +158,14 @@ class TestViewerConstruction:
         session must be handed back (leave), not parked broker-side
         forever."""
         handle = _CloseRecorder()
-        broker = SimpleNamespace(
-            join=lambda name, fault_plan=None, retry=None: handle)
+        broker = SimpleNamespace(join=lambda name, **kwargs: handle)
 
         def explode(*args, **kwargs):
             raise RuntimeError("no threads left")
 
-        monkeypatch.setattr(
-            "repro.serve.faultrun.threading.Thread", explode)
+        monkeypatch.setattr("repro.scenario.threading.Thread", explode)
         with pytest.raises(RuntimeError, match="no threads left"):
-            _ResilientViewer(broker, "v0", plan=None)
+            Viewer([broker], "v0")
         assert handle.leaves == 1
 
 
@@ -191,6 +187,9 @@ class TestRelayReconnect:
 
 
 class TestTeardownHelpers:
+    """All through the one ``repro.scenario._teardown`` (the fault and
+    topology harnesses each had a private copy when these were named)."""
+
     def test_faultrun_teardown_releases_every_tier_on_failure(self):
         """One viewer blowing up on stop() must not strand the relays or
         the broker behind it; the first failure propagates afterwards."""
@@ -199,13 +198,13 @@ class TestTeardownHelpers:
         relay = _CloseRecorder()
         broker = _CloseRecorder()
         with pytest.raises(RuntimeError, match=r"stop\(v0\)"):
-            faultrun_teardown([bad_viewer, good_viewer], [relay], broker)
+            _teardown([bad_viewer, good_viewer], [relay], None, broker)
         assert good_viewer.stops == 1
         assert relay.closes == 1
         assert broker.closes == 1
 
     def test_faultrun_teardown_tolerates_unbuilt_broker(self):
-        faultrun_teardown([], [], None)  # construction died before tier 1
+        _teardown([], [], None, None)  # construction died before tier 1
 
     def test_topology_teardown_skips_the_killed_relay(self):
         """kill_relay_after already tore one relay down mid-scenario;
@@ -214,7 +213,28 @@ class TestTeardownHelpers:
         killed = _CloseRecorder(name="relay-0")
         alive = _CloseRecorder(name="relay-1")
         broker = _CloseRecorder()
-        topology_teardown([], [killed, alive], "relay-0", broker)
+        _teardown([], [killed, alive], "relay-0", broker)
         assert killed.closes == 0
         assert alive.closes == 1
         assert broker.closes == 1
+
+    def test_topology_closes_earlier_tiers_when_a_later_one_fails(
+            self, monkeypatch):
+        """A relay constructor that dies must not strand the origin the
+        topology already built: the context manager's build is the one
+        place every scenario gets its teardown from."""
+        built = []
+
+        class RecordingBroker(_CloseRecorder):
+            def __init__(self, **kwargs):
+                super().__init__()
+                built.append(self)
+
+        def no_relay(*args, **kwargs):
+            raise RuntimeError("relay refused to start")
+
+        monkeypatch.setattr("repro.scenario.SessionBroker", RecordingBroker)
+        monkeypatch.setattr("repro.scenario.FrameRelay", no_relay)
+        with pytest.raises(RuntimeError, match="refused to start"):
+            Topology(n_relays=1)
+        assert [b.closes for b in built] == [1]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.devtools.waiting import wait_until
+from repro.scenario import synthetic_frames
 from repro.serve import (
     AdaptiveQualityController,
     FrameCache,
@@ -15,7 +16,6 @@ from repro.serve import (
     TierLadder,
     default_ladder,
 )
-from repro.serve.fanout import synthetic_frames
 
 #: an all-lossless ladder so image round-trips can be asserted exactly
 LOSSLESS_LADDER = TierLadder(

@@ -9,7 +9,7 @@ really does (so only a structural regression trips it).
 
 import pytest
 
-from repro.serve.fanout import run_fanout, synthetic_frames
+from repro.scenario import run_fanout, synthetic_frames
 
 pytestmark = pytest.mark.perf_smoke
 

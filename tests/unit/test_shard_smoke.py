@@ -15,7 +15,7 @@ the router's.
 
 import pytest
 
-from repro.serve.fanout import run_fanout, synthetic_frames
+from repro.scenario import run_fanout, synthetic_frames
 
 pytestmark = pytest.mark.perf_smoke
 
