@@ -10,7 +10,7 @@ help:
 	@echo "lint         concurrency/protocol lint + DT7xx lockset + DT8xx resource-flow + DT9xx protocol conformance + lint-marked tests"
 	@echo "analyze      DT7xx lockset + DT8xx resource-flow + DT9xx protoflow analyzers alone (src, against the baselines)"
 	@echo "bench        full benchmark suite"
-	@echo "bench-smoke  fast perf guardrails (decode, serve, shards, faults, relay), each once"
+	@echo "bench-smoke  fast perf guardrails (decode, render, serve, shards, faults, relay), each once"
 	@echo "bench-e2e    the end-to-end, layer-attributed benchmark (BENCHMARK.json's command; see e2ebench/README.md)"
 	@echo "reproduce    regenerate the paper-reproduction report"
 	@echo "examples     run every example script"
@@ -47,9 +47,10 @@ bench-fast:
 	REPRO_BENCH_FAST=1 $(PY) -m pytest benchmarks/ --benchmark-only
 
 # Quick perf guardrails (seconds, not minutes): runs every
-# perf_smoke-marked test once — the codec throughput floors plus the four
-# scenario guardrails below, which are the same marked files and exist as
-# targets only for selective runs.
+# perf_smoke-marked test once — the codec throughput floors, the render
+# skipping ratio (sparse jet frame vs the same frame with nothing to skip)
+# plus the four scenario guardrails below, which are the same marked files
+# and exist as targets only for selective runs.
 # PYTHONPATH=src so it works from a fresh checkout without `make install`.
 bench-smoke:
 	PYTHONPATH=src $(PY) -m pytest tests/ -m perf_smoke

@@ -84,6 +84,12 @@ class RemoteVisualizationSession:  # speaks: renderer
         Initial compression method name (display can switch it).
     n_pieces:
         Sub-images per frame (parallel compression mode; 1 = assembled).
+    cull:
+        Crop each time step to the box its visible data occupies
+        (:func:`repro.render.cull_empty_space`) before decomposing it, so
+        bricks are balanced over that box rather than over the whole
+        grid.  It is not a speed switch: the ray caster skips empty
+        space with or without it.
     """
 
     def __init__(

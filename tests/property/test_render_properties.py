@@ -1,10 +1,13 @@
 """Property-based tests on rendering and compositing invariants."""
 
+from unittest import mock
+
 import numpy as np
+from dense_reference import render_volume_dense
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.render import Camera, TransferFunction, decompose, over, render_volume
+from repro.render import Camera, TransferFunction, decompose, over, raycast, render_volume
 from repro.render.image import assemble_tiles, split_tiles
 
 
@@ -100,3 +103,129 @@ def test_render_alpha_never_exceeds_one(seed, az, el):
     )
     assert img[..., 3].max() <= 1.0 + 1e-5
     assert (img >= -1e-6).all()
+
+
+# -- empty-space skipping ------------------------------------------------------
+#
+# The coarse per-ray pass is conservative only while a segment is shorter
+# than a macrocell, the per-sample pass only while a cell's [min, max]
+# bounds every sample taken in it, whatever the transfer function does
+# between them.  Everything the caller controls is drawn at random and the
+# image held against two oracles: the same renderer with every macrocell
+# reported occupied (must be identical) and the dense march in
+# tests/dense_reference.py (must agree to float32 rounding).
+
+CELL = raycast._CELL
+
+
+@st.composite
+def volumes(draw):
+    # per axis: below one macrocell, exactly one, ragged -- or enough cells
+    # that one cell and its neighbours are far from the whole brick, which
+    # is where a segment that is too long gets to jump over data
+    small = st.sampled_from([2, 3, CELL, CELL + 1, CELL + 2, 2 * CELL + 3])
+    large = st.integers(4 * CELL + 1, 7 * CELL)
+    dims = large if draw(st.booleans()) else st.one_of(small, large)
+    shape = (draw(dims), draw(dims), draw(dims))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    kind = draw(st.sampled_from(
+        ["noise", "constant", "out_of_range", "band_gap",
+         "corner_voxel", "face_voxel", "lone_voxel", "slab", "slab"]
+    ))
+    if kind == "noise":
+        vol = rng.random(shape) ** 3  # mostly low values, a few high
+    elif kind == "constant":
+        vol = np.full(shape, draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])))
+    elif kind == "out_of_range":
+        vol = rng.random(shape) * 4.0 - 1.5
+    elif kind == "band_gap":
+        # no voxel in (0.1, 0.9): only interpolated samples fall between
+        vol = np.where(rng.random(shape) < 0.5, 0.1, 0.9)
+    elif kind == "slab":
+        # one voxel plane in empty space: every ray through the brick has
+        # exactly one short stretch that must not be jumped over
+        vol = np.zeros(shape)
+        axis = int(rng.integers(0, 3))
+        vol[(slice(None),) * axis + (int(rng.integers(0, shape[axis])),)] = 1.0
+    else:
+        vol = np.zeros(shape)
+        at = [int(rng.integers(0, n)) for n in shape]
+        if kind == "corner_voxel":  # where eight macrocells meet, if they do
+            at = [min(CELL * int(rng.integers(1, 4)), n - 1) for n in shape]
+        elif kind == "face_voxel":  # on a face of the brick
+            axis = int(rng.integers(0, 3))
+            at[axis] = int(rng.choice([0, shape[axis] - 1]))
+        vol[tuple(at)] = 1.0
+    return vol.astype(np.float32)
+
+
+@st.composite
+def transfer_functions(draw):
+    if draw(st.booleans()):
+        # band-pass: opaque on [0.4, 0.6] only
+        a = draw(st.floats(0.05, 0.9))
+        return TransferFunction(
+            positions=(0.0, 0.39, 0.4, 0.6, 0.61, 1.0),
+            colors=((0, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, a), (1, 1, 0, a),
+                    (1, 0, 0, 0), (1, 1, 1, 0)),
+        )
+    n = draw(st.integers(2, 6))
+    cuts = sorted(draw(st.sets(st.integers(1, 99), min_size=n - 2, max_size=n - 2)))
+    positions = (0.0,) + tuple(c / 100 for c in cuts) + (1.0,)
+    colors = tuple(
+        (
+            draw(st.floats(0, 1)), draw(st.floats(0, 1)), draw(st.floats(0, 1)),
+            # transparent stretches anywhere, not only at the low end
+            draw(st.sampled_from([0.0, 0.0, 0.02, 0.3, 0.9])),
+        )
+        for _ in positions
+    )
+    return TransferFunction(positions=positions, colors=colors)
+
+
+@st.composite
+def boxes(draw):
+    if draw(st.booleans()):
+        return ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+    lo = tuple(draw(st.floats(0.0, 0.6)) for _ in range(3))
+    hi = tuple(l + draw(st.floats(0.1, 0.4)) for l in lo)
+    return lo, hi
+
+
+@given(
+    volume=volumes(),
+    tf=transfer_functions(),
+    box=boxes(),
+    # off the axes: an axis-aligned ray ends exactly on a sample and the
+    # two marches may then disagree on whether that last one is inside
+    quadrant=st.integers(0, 3),
+    az=st.floats(3.0, 87.0),
+    el=st.floats(3.0, 80.0),
+    up=st.booleans(),
+    projection=st.sampled_from(["orthographic", "perspective"]),
+    zoom=st.floats(0.8, 2.5),
+    step=st.one_of(st.none(), st.floats(0.01, 0.6)),
+    early_termination=st.floats(0.2, 1.5),
+    shading=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_skipping_never_changes_the_image(
+    volume, tf, box, quadrant, az, el, up, projection, zoom, step,
+    early_termination, shading,
+):
+    camera = Camera(
+        image_size=(20, 24),
+        azimuth=90.0 * quadrant + az,
+        elevation=el if up else -el,
+        projection=projection,
+        zoom=zoom,
+    )
+    kwargs = dict(
+        box=box, step=step, early_termination=early_termination, shading=shading
+    )
+    image = render_volume(volume, tf, camera, **kwargs)
+    with mock.patch.object(raycast, "_occupancy", lambda vol, opaque: None):
+        unskipped = render_volume(volume, tf, camera, **kwargs)
+    assert np.array_equal(image, unskipped)
+    dense = render_volume_dense(volume, tf, camera, **kwargs)
+    assert np.abs(image - dense).max() <= 5e-4

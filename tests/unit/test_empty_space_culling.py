@@ -1,7 +1,5 @@
 """Unit tests for data-dependent empty-space culling."""
 
-import time
-
 import numpy as np
 import pytest
 
@@ -66,23 +64,15 @@ class TestCulledRendering:
         assert np.abs(full - culled).mean() < 0.003
 
     def test_culling_reduces_work(self, jet_volume, small_camera):
+        """Fewer voxels to hold, ship and balance over bricks, same
+        picture.  No clock: ``render_volume`` skips empty space itself,
+        so the cropped render is no longer the faster one."""
         tf = TransferFunction.jet()
         cropped, box = cull_empty_space(jet_volume, threshold=0.1)
         assert cropped.size < jet_volume.size * 0.7
-
-        def clock(fn, repeat=3):
-            best = float("inf")
-            for _ in range(repeat):
-                t0 = time.perf_counter()
-                fn()
-                best = min(best, time.perf_counter() - t0)
-            return best
-
-        t_full = clock(lambda: render_volume(jet_volume, tf, small_camera))
-        t_culled = clock(
-            lambda: render_volume(cropped, tf, small_camera, box=box)
-        )
-        assert t_culled < t_full * 1.05  # never meaningfully slower
+        full = render_volume(jet_volume, tf, small_camera)
+        culled = render_volume(cropped, tf, small_camera, box=box)
+        assert np.abs(full - culled).mean() < 0.003
 
 
 class TestSessionCulling:

@@ -37,6 +37,29 @@ class TestTrilinear:
         coords = np.stack([xs, np.full(9, 0.0), np.full(9, 0.0)], axis=1)
         assert np.allclose(sample_trilinear(vol, coords), xs, atol=1e-5)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_boundary_samples_exact_in_any_coordinate_dtype(self, dtype):
+        """On an axis of 128 or more voxels ``n - 1.000001`` is ``n - 1``
+        in float32: the old upper clamp indexed past the volume there, and
+        in float64 it read 0.999997 of the far voxel.  Every face, edge
+        and corner must return its voxel exactly."""
+        rng = np.random.default_rng(1)
+        vol = rng.random((128, 128, 128)).astype(np.float32)
+        grid = np.array(
+            [
+                (x, y, z)
+                for x in (0, 64, 127)
+                for y in (0, 64, 127)
+                for z in (0, 64, 127)
+                if (x, y, z) != (64, 64, 64)
+            ]
+        )
+        vals = sample_trilinear(vol, grid.astype(dtype))
+        assert np.array_equal(vals, vol[grid[:, 0], grid[:, 1], grid[:, 2]])
+        # edge extension: beyond the last voxel is the last voxel
+        beyond = sample_trilinear(vol, (grid + (grid == 127) * 3).astype(dtype))
+        assert np.array_equal(beyond, vals)
+
 
 class TestRenderVolume:
     def make_blob(self, n=24):
