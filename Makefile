@@ -8,7 +8,7 @@ help:
 	@echo "install      pip install -e ."
 	@echo "test         full test suite"
 	@echo "lint         concurrency/protocol lint + DT7xx lockset + DT8xx resource-flow + DT9xx protocol conformance + lint-marked tests"
-	@echo "analyze      DT7xx lockset + DT8xx resource-flow + DT9xx protoflow analyzers alone (src, against the baselines)"
+	@echo "analyze      DT7xx lockset + DT8xx resource-flow + DT9xx protoflow analyzers alone (src, against lint_baseline.json)"
 	@echo "bench        full benchmark suite"
 	@echo "bench-smoke  fast perf guardrails (decode, render, serve, shards, faults, relay), each once"
 	@echo "bench-e2e    the end-to-end, layer-attributed benchmark (BENCHMARK.json's command; see e2ebench/README.md)"
@@ -25,20 +25,19 @@ test:
 # Repo-specific static checks (rule catalogue in docs/devtools.md) plus
 # the tests that pin the rules and the analyzers themselves.
 # `repro lint` runs the DT1xx-DT6xx rules, the DT7xx lockset race
-# analyzer (filtered through lockset_baseline.json), the DT8xx
-# resource-lifecycle analyzer (filtered through
-# resourceflow_baseline.json), AND the DT9xx protocol-conformance
-# analyzer (filtered through protoflow_baseline.json) in one pass.
+# analyzer, the DT8xx resource-lifecycle analyzer AND the DT9xx
+# protocol-conformance analyzer over one parse of each file; the three
+# deep analyzers are filtered through lint_baseline.json.
 lint:
 	PYTHONPATH=src $(PY) -m repro lint src tests
 	PYTHONPATH=src $(PY) -m pytest tests/ -m lint
 
 # The deep analyzers alone — useful while triaging a finding or
-# refreshing a baseline (`make analyze` then `repro lint --update-baseline`).
+# refreshing the baseline (`make analyze` then `repro lint --update-baseline`).
 analyze:
-	PYTHONPATH=src $(PY) -c "import sys; from repro.devtools.lockset import main; sys.exit(main(['src']))"
-	PYTHONPATH=src $(PY) -c "import sys; from repro.devtools.resource_flow import main; sys.exit(main(['src']))"
-	PYTHONPATH=src $(PY) -c "import sys; from repro.devtools.protoflow import main; sys.exit(main(['src']))"
+	PYTHONPATH=src $(PY) -m repro.devtools.lockset src
+	PYTHONPATH=src $(PY) -m repro.devtools.resource_flow src
+	PYTHONPATH=src $(PY) -m repro.devtools.protoflow src
 
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only

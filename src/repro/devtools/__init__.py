@@ -1,4 +1,4 @@
-"""Repo-specific correctness tooling: static lint + runtime lock tracing.
+"""Repo-specific correctness tooling: static analysis + runtime lock tracing.
 
 The serving stack is genuinely concurrent — broker pump threads,
 condition-variable channels, retrying connections, daemon accept and
@@ -6,34 +6,29 @@ handshake threads — which is exactly the code where Python's dynamism
 hides deadlocks, thread leaks, and silently-swallowed errors until they
 bite under load.  This package keeps that debt from accumulating:
 
-- :mod:`repro.devtools.lint` — an AST-based checker with repo-specific
-  rules (``repro lint`` / ``make lint`` run it over ``src`` and
-  ``tests``; a new finding fails CI);
+- :mod:`repro.devtools.core` — what every static pass shares: the
+  ``Finding`` record, the parsed-once ``SourceFile``, the file walk, the
+  ``# lint: disable=`` pragma, the one baseline file, the report
+  formats and the ``repro lint`` driver;
+- :mod:`repro.devtools.lint` — the repo-specific ``DT1xx``–``DT6xx``
+  AST rules, and ``repro lint`` / ``make lint``: the driver over all
+  four passes (a new finding fails CI);
 - :mod:`repro.devtools.lockset` — an interprocedural static lockset
-  race analyzer (Eraser/RacerD style): infers which lock guards each
-  ``self._*`` field and reports inconsistent locksets, bare writes to
-  annotated fields, unannotated shared mutable state on threaded
-  classes, and lock-scope leaks (rules ``DT701``–``DT704``, run as part
-  of ``repro lint`` behind a committed baseline);
+  race analyzer (Eraser/RacerD style, rules ``DT701``–``DT704``);
+- :mod:`repro.devtools.resource_flow` — an exception-edge-aware
+  resource-lifecycle analyzer (rules ``DT801``–``DT804``);
+- :mod:`repro.devtools.protoflow` — wire-schema and endpoint-automata
+  conformance against ``repro.daemon.protocol_spec`` (rules
+  ``DT901``–``DT904``);
 - :mod:`repro.devtools.locktrace` — instrumented lock wrappers that
   record the lock-acquisition graph at runtime, detect lock-order
   inversions and locks held across blocking channel operations, plus
-  thread-leak guards the integration suite runs under.
+  thread-leak guards the integration suite runs under;
+- :mod:`repro.devtools.guards` / :mod:`repro.devtools.waiting` — the
+  two helpers runtime code imports (``@guarded_by``, ``wait_until``).
+
+Nothing is imported here: the runtime packages import ``guards`` and
+``waiting`` from this package and must not pay for the analyzers.
 
 See ``docs/devtools.md`` for the rule catalogue and report format.
 """
-
-from repro.devtools.lint import Finding, lint_paths, lint_source
-from repro.devtools.lockset import analyze_paths, analyze_source, guarded_by
-from repro.devtools.locktrace import LockTracer, ThreadLeakGuard
-
-__all__ = [
-    "Finding",
-    "lint_paths",
-    "lint_source",
-    "analyze_paths",
-    "analyze_source",
-    "guarded_by",
-    "LockTracer",
-    "ThreadLeakGuard",
-]

@@ -30,23 +30,23 @@ rule        meaning
 ``DT601``   mutable default argument (list/dict/set literal or call)
 ==========  ============================================================
 
-The CLI also runs the ``DT701``–``DT704`` static lockset race analyzer
-from :mod:`repro.devtools.lockset` (guarded-by inference over
+``repro lint`` also runs the ``DT701``–``DT704`` static lockset race
+analyzer from :mod:`repro.devtools.lockset` (guarded-by inference over
 ``self._*`` fields), the ``DT801``–``DT804`` resource-lifecycle
 analyzer from :mod:`repro.devtools.resource_flow` (exception-edge leak,
 double-close, use-after-close, close-graph completeness), and the
 ``DT901``–``DT904`` protocol-conformance analyzer from
 :mod:`repro.devtools.protoflow` (wire-schema cross-checking, endpoint
-automata vs :mod:`repro.daemon.protocol_spec`), each filtered through
-its own committed baseline of grandfathered findings; see those
-modules and ``docs/devtools.md`` for the rule catalogues and the
-``--baseline`` / ``--rf-baseline`` / ``--pf-baseline`` /
-``--no-baseline`` / ``--update-baseline`` workflow.  ``--json`` emits
-the combined findings machine-readably; ``--sarif FILE`` additionally
-writes them as SARIF 2.1.0 for code-scanning upload;
-``--emit-proto-dot FILE`` renders the protocol spec automata to
-Graphviz and exits; ``--fail-on-stale`` turns stale baseline entries
-into a failing exit.
+automata vs :mod:`repro.daemon.protocol_spec`).  All four are passes
+under the one driver in :mod:`repro.devtools.core`: every file is
+parsed once and handed to each, and the three deep analyzers are
+filtered through the one committed baseline of grandfathered findings
+(``--baseline`` / ``--no-baseline`` / ``--update-baseline``).
+``--json`` emits the combined findings machine-readably; ``--sarif
+FILE`` additionally writes them as SARIF 2.1.0 for code-scanning
+upload; ``--emit-proto-dot FILE`` renders the protocol spec automata
+to Graphviz and exits; ``--fail-on-stale`` turns stale baseline
+entries into a failing exit.  See ``docs/devtools.md``.
 
 Escape hatch: append ``# lint: disable=DT201`` (comma-separated ids, or
 ``all``) to the offending line.  Run with ``repro lint [paths...]`` or
@@ -55,16 +55,14 @@ Escape hatch: append ``# lint: disable=DT201`` (comma-separated ids, or
 
 from __future__ import annotations
 
-import argparse
 import ast
-import io
-import re
 import sys
-import tokenize
-from dataclasses import dataclass
 from pathlib import Path
 
-__all__ = ["Finding", "RULES", "lint_source", "lint_paths", "main"]
+from repro.devtools import core, lockset, protoflow, resource_flow
+from repro.devtools.core import EXCLUDED_DIR_NAMES, Finding, SourceFile
+
+__all__ = ["Finding", "RULES", "PASSES", "lint_source", "lint_paths", "main"]
 
 RULES: dict[str, str] = {
     "DT101": "broad except without re-raise or accounting counter",
@@ -87,11 +85,6 @@ DETERMINISTIC_PATH_MARKERS = (
     "repro/relay/",
     "repro/serve/encode_pool.py",
 )
-
-#: directories never linted (fixture corpus deliberately violates rules)
-EXCLUDED_DIR_NAMES = {"lint_fixtures", "__pycache__", ".git", ".pytest_cache"}
-
-_PRAGMA_RE = re.compile(r"#\s*lint:\s*disable=([A-Za-z0-9_,\s]+)")
 
 _WALLCLOCK_CALLS = {
     "time.time",
@@ -122,93 +115,29 @@ _MUTABLE_CTORS = {
 _ACCOUNTING_HINTS = ("count", "note", "record", "reject", "log")
 
 
-@dataclass(frozen=True)
-class Finding:
-    """One rule violation at one source location."""
-
-    path: str
-    line: int
-    rule: str
-    message: str
-
-    def __str__(self) -> str:  # "path:line: DTxxx message" (editor-clickable)
-        return f"{self.path}:{self.line}: {self.rule} {self.message}"
-
-
 def _control_tags() -> frozenset[str]:
     from repro.daemon.protocol import CONTROL_TAGS
 
     return CONTROL_TAGS
 
 
-def _disabled_lines(source: str) -> dict[int, set[str]]:
-    """line -> rule ids disabled there, parsed from real comment tokens."""
-    disabled: dict[int, set[str]] = {}
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        for tok in tokens:
-            if tok.type != tokenize.COMMENT:
-                continue
-            m = _PRAGMA_RE.search(tok.string)
-            if m:
-                ids = {part.strip().upper() for part in m.group(1).split(",")}
-                disabled.setdefault(tok.start[0], set()).update(ids)
-    except tokenize.TokenError:
-        pass  # syntax trouble surfaces as the ast.parse error instead
-    return disabled
-
-
 class _Analyzer:
-    """One file's lint pass: builds parent links, resolves import
-    aliases to canonical dotted names, then applies every rule."""
+    """One file's lint pass: applies every rule over the shared
+    :class:`~repro.devtools.core.SourceFile` (parent links, import
+    aliases resolved to canonical dotted names)."""
 
-    def __init__(self, tree: ast.Module, path: str,
-                 deterministic: bool | None = None):
-        self.tree = tree
-        self.path = path
+    def __init__(self, sf: SourceFile, deterministic: bool | None = None):
+        self.tree = sf.tree
+        self.path = sf.path
         self.findings: list[Finding] = []
-        self.parents: dict[ast.AST, ast.AST] = {}
-        for node in ast.walk(tree):
-            for child in ast.iter_child_nodes(node):
-                self.parents[child] = node
-        self.aliases = self._collect_aliases()
+        self.parents = sf.parents
+        self._dotted = sf.dotted
         if deterministic is None:
             deterministic = any(
-                marker in Path(path).as_posix()
+                marker in Path(sf.path).as_posix()
                 for marker in DETERMINISTIC_PATH_MARKERS
             )
         self.deterministic = deterministic
-
-    # -- name resolution -----------------------------------------------------
-
-    def _collect_aliases(self) -> dict[str, str]:
-        aliases: dict[str, str] = {}
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                for a in node.names:
-                    if a.asname:
-                        aliases[a.asname] = a.name
-                    else:  # `import x.y` binds the root name `x`
-                        root = a.name.split(".")[0]
-                        aliases[root] = root
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                for a in node.names:
-                    aliases[a.asname or a.name] = f"{node.module}.{a.name}"
-        # conventional alias even without an import statement in scope
-        aliases.setdefault("np", "numpy")
-        return aliases
-
-    def _dotted(self, node: ast.AST) -> str | None:
-        """Canonical dotted name of a Name/Attribute chain, or None."""
-        parts: list[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        root = self.aliases.get(node.id, node.id)
-        parts.append(root)
-        return ".".join(reversed(parts))
 
     def _report(self, node: ast.AST, rule: str, message: str) -> None:
         self.findings.append(
@@ -475,6 +404,18 @@ class _Analyzer:
                 )
 
 
+def _scan(sf: SourceFile) -> list[Finding]:
+    return _Analyzer(sf).run()
+
+
+#: the DT1xx-DT6xx pass: walks tests/ too, never baselined
+PASS = core.Pass("lint", RULES, _scan, skip=EXCLUDED_DIR_NAMES,
+                 baselined=False)
+
+#: everything ``repro lint`` runs, in report-merge order
+PASSES = [PASS, lockset.PASS, resource_flow.PASS, protoflow.PASS]
+
+
 def lint_source(source: str, path: str = "<string>",
                 deterministic: bool | None = None) -> list[Finding]:
     """Lint one source string; returns findings not pragma-disabled.
@@ -482,247 +423,18 @@ def lint_source(source: str, path: str = "<string>",
     ``deterministic`` forces DT401 on/off; ``None`` derives it from
     ``path`` against :data:`DETERMINISTIC_PATH_MARKERS`.
     """
-    tree = ast.parse(source, filename=path)
-    disabled = _disabled_lines(source)
-    findings = _Analyzer(tree, path, deterministic=deterministic).run()
-    kept = []
-    for f in findings:
-        ids = disabled.get(f.line, set())
-        if f.rule in ids or "ALL" in ids:
-            continue
-        kept.append(f)
-    kept.sort(key=lambda f: (f.path, f.line, f.rule))
-    return kept
+    sf = SourceFile(source, path)
+    return core.kept(_Analyzer(sf, deterministic).run(), [sf])
 
 
-def _iter_python_files(paths: list[str | Path]):
-    for raw in paths:
-        p = Path(raw)
-        if p.is_file() and p.suffix == ".py":
-            yield p
-        elif p.is_dir():
-            for sub in sorted(p.rglob("*.py")):
-                if not EXCLUDED_DIR_NAMES.intersection(sub.parts):
-                    yield sub
-
-
-def lint_paths(paths: list[str | Path]) -> list[Finding]:
-    """Lint every ``.py`` under ``paths`` (fixture corpora excluded)."""
-    findings: list[Finding] = []
-    for path in _iter_python_files(paths):
-        findings.extend(lint_source(path.read_text(), str(path)))
-    return findings
-
-
-def _sarif_report(findings, catalogue) -> dict:
-    """The combined findings as a SARIF 2.1.0 log for code scanning."""
-    return {
-        "$schema": "https://raw.githubusercontent.com/oasis-tcs/"
-                   "sarif-spec/master/Schemata/sarif-schema-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {"driver": {
-                "name": "repro-lint",
-                "rules": [
-                    {"id": rule_id,
-                     "shortDescription": {"text": catalogue[rule_id]}}
-                    for rule_id in sorted(catalogue)
-                ],
-            }},
-            "results": [
-                {
-                    "ruleId": f.rule,
-                    "level": "warning",
-                    "message": {"text": f.message},
-                    "locations": [{
-                        "physicalLocation": {
-                            "artifactLocation": {
-                                "uri": Path(f.path).as_posix(),
-                            },
-                            "region": {"startLine": f.line},
-                        },
-                    }],
-                }
-                for f in findings
-            ],
-        }],
-    }
+#: lint every ``.py`` under the given paths (fixture corpora excluded)
+lint_paths = PASS.analyze_paths
 
 
 def main(argv: list[str] | None = None) -> int:
-    # imported lazily: the analyzers import this module for
-    # Finding/pragmas
-    from repro.devtools import lockset, protoflow, resource_flow
-
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description="repo-specific concurrency/protocol lint pass, plus "
-                    "the DT7xx static lockset race analyzer, the DT8xx "
-                    "resource-lifecycle analyzer, and the DT9xx "
-                    "protocol-conformance analyzer",
-    )
-    parser.add_argument("paths", nargs="*", default=["src", "tests"],
-                        help="files or directories to lint (default: src tests)")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalogue and exit")
-    parser.add_argument("--no-lockset", action="store_true",
-                        help="skip the DT7xx lockset analysis pass")
-    parser.add_argument("--no-resourceflow", action="store_true",
-                        help="skip the DT8xx resource-lifecycle pass")
-    parser.add_argument("--no-protoflow", action="store_true",
-                        help="skip the DT9xx protocol-conformance pass")
-    parser.add_argument("--baseline", default=lockset.DEFAULT_BASELINE,
-                        help="baseline file of grandfathered lockset findings "
-                             f"(default: {lockset.DEFAULT_BASELINE})")
-    parser.add_argument("--rf-baseline",
-                        default=resource_flow.DEFAULT_BASELINE,
-                        help="baseline file of grandfathered resource-flow "
-                             "findings "
-                             f"(default: {resource_flow.DEFAULT_BASELINE})")
-    parser.add_argument("--pf-baseline",
-                        default=protoflow.DEFAULT_BASELINE,
-                        help="baseline file of grandfathered protocol-"
-                             "conformance findings "
-                             f"(default: {protoflow.DEFAULT_BASELINE})")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baselines and report everything")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baselines from current findings "
-                             "(kept justifications survive) and exit")
-    parser.add_argument("--json", action="store_true",
-                        help="emit findings as machine-readable JSON")
-    parser.add_argument("--sarif", metavar="FILE",
-                        help="also write the findings as SARIF 2.1.0 to "
-                             "FILE (for code-scanning upload)")
-    parser.add_argument("--emit-proto-dot", metavar="FILE",
-                        help="write the protocol spec automata as Graphviz "
-                             "DOT to FILE and exit")
-    parser.add_argument("--fail-on-stale", action="store_true",
-                        help="exit non-zero when a baseline contains entries "
-                             "that no longer fire")
-    args = parser.parse_args(argv)
-    if args.list_rules:
-        catalogue = dict(RULES)
-        catalogue.update(lockset.LOCKSET_RULES)
-        catalogue.update(resource_flow.RESOURCE_RULES)
-        catalogue.update(protoflow.PROTOFLOW_RULES)
-        for rule_id in sorted(catalogue):
-            print(f"{rule_id}  {catalogue[rule_id]}")
-        return 0
-    if args.emit_proto_dot:
-        Path(args.emit_proto_dot).write_text(protoflow.render_dot())
-        print(f"wrote {args.emit_proto_dot}")
-        return 0
-    if args.update_baseline and args.no_lockset and args.no_resourceflow \
-            and args.no_protoflow:
-        parser.error("--update-baseline requires at least one analyzer "
-                     "pass (drop --no-lockset / --no-resourceflow / "
-                     "--no-protoflow)")
-
-    passes = []  # (label, fresh findings, matched count, stale keys)
-    if not args.no_lockset:
-        raw = lockset.analyze_paths(args.paths)
-        baseline = lockset.load_baseline(args.baseline,
-                                         disabled=args.no_baseline)
-        if args.update_baseline:
-            lockset.Baseline.write(Path(args.baseline), raw,
-                                   previous=baseline)
-            print(f"wrote {args.baseline}: {len(raw)} grandfathered "
-                  f"finding(s)")
-        else:
-            fresh, matched = baseline.filter(raw)
-            passes.append(("lockset", list(fresh), len(matched),
-                           baseline.stale_keys(raw)))
-    if not args.no_resourceflow:
-        raw = resource_flow.analyze_paths(args.paths)
-        baseline = resource_flow.load_baseline(args.rf_baseline,
-                                               disabled=args.no_baseline)
-        if args.update_baseline:
-            lockset.Baseline.write(Path(args.rf_baseline), raw,
-                                   previous=baseline,
-                                   comment=resource_flow.BASELINE_COMMENT)
-            print(f"wrote {args.rf_baseline}: {len(raw)} grandfathered "
-                  f"finding(s)")
-        else:
-            fresh, matched = baseline.filter(raw)
-            passes.append(("resourceflow", list(fresh), len(matched),
-                           baseline.stale_keys(raw)))
-    if not args.no_protoflow:
-        raw = protoflow.analyze_paths(args.paths)
-        baseline = protoflow.load_baseline(args.pf_baseline,
-                                           disabled=args.no_baseline)
-        if args.update_baseline:
-            lockset.Baseline.write(Path(args.pf_baseline), raw,
-                                   previous=baseline,
-                                   comment=protoflow.BASELINE_COMMENT)
-            print(f"wrote {args.pf_baseline}: {len(raw)} grandfathered "
-                  f"finding(s)")
-        else:
-            fresh, matched = baseline.filter(raw)
-            passes.append(("protoflow", list(fresh), len(matched),
-                           baseline.stale_keys(raw)))
-    if args.update_baseline:
-        return 0
-
-    findings = lint_paths(args.paths)
-    for _, fresh, _, _ in passes:
-        findings.extend(fresh)
-    findings.sort(key=lambda f: (f.path, f.line, f.rule))
-    baselined = {label: matched for label, _, matched, _ in passes}
-    stale = {label: keys for label, _, _, keys in passes if keys}
-    n_files = sum(1 for _ in _iter_python_files(args.paths))
-
-    stale_fails = bool(stale) and args.fail_on_stale \
-        and not args.no_baseline
-
-    if args.sarif:
-        import json as _json
-
-        catalogue = dict(RULES)
-        catalogue.update(lockset.LOCKSET_RULES)
-        catalogue.update(resource_flow.RESOURCE_RULES)
-        catalogue.update(protoflow.PROTOFLOW_RULES)
-        Path(args.sarif).write_text(
-            _json.dumps(_sarif_report(findings, catalogue), indent=2)
-            + "\n")
-
-    if args.json:
-        counts: dict[str, int] = {}
-        for f in findings:
-            counts[f.rule] = counts.get(f.rule, 0) + 1
-        import json as _json
-
-        print(_json.dumps({
-            "findings": [
-                {"file": f.path, "line": f.line, "rule": f.rule,
-                 "message": f.message}
-                for f in findings
-            ],
-            "counts": counts,
-            "files": n_files,
-            "baselined": baselined,
-            "stale": stale,
-        }, indent=2))
-        return 1 if findings or stale_fails else 0
-
-    for f in findings:
-        print(f)
-    if not args.no_baseline:
-        for label, keys in stale.items():
-            print(f"note: stale {label} baseline entrie(s) no longer "
-                  f"fire: " + ", ".join(keys))
-    total_baselined = sum(baselined.values())
-    suffix = (f" ({total_baselined} analyzer finding(s) baselined)"
-              if total_baselined else "")
-    if findings:
-        print(f"\n{len(findings)} finding(s) in {n_files} file(s){suffix}")
-        return 1
-    if stale_fails:
-        print(f"stale baseline entries present (see notes above); "
-              f"regenerate with --update-baseline")
-        return 1
-    print(f"clean: {n_files} file(s), 0 findings{suffix}")
-    return 0
+    """``repro lint``: the :func:`repro.devtools.core.main` driver over
+    all four passes."""
+    return core.main(PASSES, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

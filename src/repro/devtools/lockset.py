@@ -40,43 +40,36 @@ Two machine-checked annotations make the locking discipline explicit:
   is analyzed with them in the lockset (``ViewerSession._apply_delta``
   is the in-tree example).
 
-The line-scoped ``# lint: disable=DT701`` pragma from
-:mod:`repro.devtools.lint` silences a single finding.
-
-Baseline
---------
-Grandfathered findings live in a committed JSON baseline (default
-``lockset_baseline.json`` at the repo root) keyed by
-``path:rule:Class.field`` — line-number independent, so unrelated edits
-do not churn it.  Every entry carries a written justification.  CI runs
-the analyzer with the baseline and fails on any *new* finding; use
-``--update-baseline`` to regenerate the file (then justify or fix every
-entry) and ``--no-baseline`` to see the unfiltered report.
-
-Run with ``make analyze``, ``python -m repro.devtools.lockset [paths]``,
-or as part of ``repro lint`` / ``make lint``.
+The pragma, the baseline of grandfathered findings (keys are
+``path:rule:Class.field``) and the command line are the shared ones in
+:mod:`repro.devtools.core`.  Run with ``make analyze``, ``python -m
+repro.devtools.lockset [paths]``, or as part of ``repro lint`` /
+``make lint``.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import io
-import json
 import re
 import sys
-import tokenize
 from dataclasses import dataclass
-from pathlib import Path
 
-from repro.devtools.lint import EXCLUDED_DIR_NAMES, Finding, _disabled_lines
+from repro.devtools.core import (
+    DEFAULT_BASELINE,
+    Baseline,
+    Finding,
+    Pass,
+    SourceFile,
+    load_baseline,
+)
+from repro.devtools.guards import guarded_by
 
 __all__ = [
     "LOCKSET_RULES",
     "DEFAULT_BASELINE",
     "guarded_by",
-    "LocksetFinding",
     "Baseline",
+    "load_baseline",
     "analyze_source",
     "analyze_paths",
     "main",
@@ -88,17 +81,6 @@ LOCKSET_RULES: dict[str, str] = {
     "DT703": "unannotated shared mutable field on a threaded class",
     "DT704": "lock acquired but not released on every path",
 }
-
-#: default baseline filename, resolved against the working directory
-#: (the repo root for ``make``/CI invocations)
-DEFAULT_BASELINE = "lockset_baseline.json"
-
-#: directory names pruned from tree-wide analysis: test/bench/example
-#: code spawns threads deliberately and is exercised under the *runtime*
-#: tracer instead.  Explicitly named files are always analyzed.
-SKIPPED_TREE_PARTS = frozenset(
-    {"tests", "benchmarks", "examples"} | EXCLUDED_DIR_NAMES
-)
 
 _LOCK_CTORS = {"threading.Lock", "threading.RLock", "threading.Condition"}
 _THREAD_CTOR = "threading.Thread"
@@ -115,95 +97,6 @@ _MUTABLE_CTOR_NAMES = {
 }
 _GUARD_RE = re.compile(r"#\s*guarded-by:\s*([A-Za-z_]\w*|none)")
 _INIT_METHODS = {"__init__", "__post_init__", "__new__"}
-
-
-def guarded_by(*locks: str):
-    """Declare that callers invoke this method only while holding the
-    named lock attribute(s) (e.g. ``@guarded_by("_lock")``).
-
-    At runtime this is a no-op marker (the names are recorded on
-    ``__guarded_by__``); the static analyzer reads the decorator and
-    checks the body with those locks in the held set — and checks every
-    internal call site actually holds them.
-    """
-    if not locks or not all(isinstance(name, str) for name in locks):
-        raise TypeError("guarded_by takes one or more lock attribute names")
-
-    def mark(fn):
-        fn.__guarded_by__ = tuple(locks)
-        return fn
-
-    return mark
-
-
-class LocksetFinding(Finding):
-    """A DT7xx finding plus its line-independent baseline key."""
-
-    def __init__(self, path: str, line: int, rule: str, message: str,
-                 key: str):
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "message", message)
-        object.__setattr__(self, "key", key)
-
-
-def _baseline_path(path: str) -> str:
-    """Stable path form for baseline keys: relative to the package root
-    when possible, so absolute vs relative invocations agree."""
-    posix = Path(path).as_posix()
-    idx = posix.rfind("src/repro/")
-    if idx >= 0:
-        return posix[idx + len("src/"):]
-    return posix
-
-
-@dataclass
-class Baseline:
-    """Grandfathered findings: baseline key -> written justification."""
-
-    entries: dict[str, str]
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        data = json.loads(path.read_text())
-        return cls(entries=dict(data.get("grandfathered", {})))
-
-    @classmethod
-    def empty(cls) -> "Baseline":
-        return cls(entries={})
-
-    def filter(
-        self, findings: list[LocksetFinding]
-    ) -> tuple[list[LocksetFinding], list[str]]:
-        """Split findings into (new, baselined-keys-that-matched)."""
-        matched = [f.key for f in findings if f.key in self.entries]
-        fresh = [f for f in findings if f.key not in self.entries]
-        return fresh, matched
-
-    def stale_keys(self, findings: list[LocksetFinding]) -> list[str]:
-        """Baseline entries that no longer fire (candidates to drop)."""
-        live = {f.key for f in findings}
-        return sorted(k for k in self.entries if k not in live)
-
-    @staticmethod
-    def write(path: Path, findings: list[LocksetFinding],
-              previous: "Baseline | None" = None,
-              comment: str | None = None) -> None:
-        prev = previous.entries if previous is not None else {}
-        grandfathered = {
-            f.key: prev.get(f.key, "TODO: justify this entry or fix the bug")
-            for f in sorted(findings, key=lambda f: f.key)
-        }
-        payload = {
-            "comment": comment if comment is not None else (
-                "Grandfathered DT7xx lockset findings; every entry needs a "
-                "written justification. Regenerate with "
-                "`repro lint --update-baseline` (see docs/devtools.md)."
-            ),
-            "grandfathered": grandfathered,
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
 
 
 # -- per-method simulation ----------------------------------------------------
@@ -456,10 +349,12 @@ class _MethodSim:
 class _ClassScan:
     """Lockset analysis of one class: discovery, simulation, inference."""
 
-    def __init__(self, module: "_ModuleScan", node: ast.ClassDef):
+    def __init__(self, module: SourceFile, guard_comments: dict[int, str],
+                 node: ast.ClassDef):
         self.module = module
+        self.guard_comments = guard_comments
         self.node = node
-        self.findings: list[LocksetFinding] = []
+        self.findings: list[Finding] = []
         self.lock_fields: set[str] = set()
         self.method_names: set[str] = set()
         self.methods: dict[str, _MethodInfo] = {}
@@ -476,13 +371,9 @@ class _ClassScan:
         self._pending_nested: list[tuple[str, ast.AST]] = []
 
     def report(self, line: int, rule: str, context: str, message: str) -> None:
-        key = (f"{_baseline_path(self.module.path)}:{rule}:"
-               f"{self.node.name}.{context}")
-        self.findings.append(
-            LocksetFinding(path=self.module.path, line=line, rule=rule,
-                           message=f"{self.node.name}.{context}: {message}",
-                           key=key)
-        )
+        where = f"{self.node.name}.{context}"
+        self.findings.append(Finding.keyed(
+            self.module.path, line, rule, f"{where}: {message}", where))
 
     def add_nested(self, name: str, func) -> None:
         self._pending_nested.append((name, func))
@@ -549,7 +440,7 @@ class _ClassScan:
         return False
 
     def _declare(self, name: str, line: int, mutable: bool) -> None:
-        guard = self.module.guard_comments.get(line)
+        guard = self.guard_comments.get(line)
         if guard is not None:
             self.annotations.setdefault(name, guard)
         prev = self.declared.get(name)
@@ -691,7 +582,7 @@ class _ClassScan:
 
     # -- rules ----------------------------------------------------------------
 
-    def run(self) -> list[LocksetFinding]:
+    def run(self) -> list[Finding]:
         self._discover()
         self._simulate()
         entry = self._entry_locksets()
@@ -823,164 +714,24 @@ class _ClassScan:
                  f"'# guarded-by: none' with a comment saying why)")
 
 
-# -- per-module driver --------------------------------------------------------
+# -- the pass ------------------------------------------------------------------
 
 
-class _ModuleScan:
-    """One file: import aliases, guard comments, parent links, classes."""
-
-    def __init__(self, tree: ast.Module, path: str, source: str):
-        self.tree = tree
-        self.path = path
-        self.parents: dict[ast.AST, ast.AST] = {}
-        for node in ast.walk(tree):
-            for child in ast.iter_child_nodes(node):
-                self.parents[child] = node
-        self.aliases = self._collect_aliases()
-        self.guard_comments = self._collect_guard_comments(source)
-
-    def _collect_aliases(self) -> dict[str, str]:
-        aliases: dict[str, str] = {}
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                for a in node.names:
-                    if a.asname:
-                        aliases[a.asname] = a.name
-                    else:
-                        root = a.name.split(".")[0]
-                        aliases[root] = root
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                for a in node.names:
-                    aliases[a.asname or a.name] = f"{node.module}.{a.name}"
-        return aliases
-
-    @staticmethod
-    def _collect_guard_comments(source: str) -> dict[int, str]:
-        guards: dict[int, str] = {}
-        try:
-            for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-                if tok.type != tokenize.COMMENT:
-                    continue
-                m = _GUARD_RE.search(tok.string)
-                if m:
-                    guards[tok.start[0]] = m.group(1)
-        except tokenize.TokenError:
-            pass  # surfaces as the ast.parse error instead
-        return guards
-
-    def dotted(self, node) -> str | None:
-        parts: list[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        parts.append(self.aliases.get(node.id, node.id))
-        return ".".join(reversed(parts))
-
-    def run(self) -> list[LocksetFinding]:
-        findings: list[LocksetFinding] = []
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.ClassDef):
-                findings.extend(_ClassScan(self, node).run())
-        return findings
-
-
-# -- public API ---------------------------------------------------------------
-
-
-def analyze_source(source: str, path: str = "<string>") -> list[LocksetFinding]:
-    """Analyze one source string; returns findings not pragma-disabled."""
-    tree = ast.parse(source, filename=path)
-    findings = _ModuleScan(tree, path, source).run()
-    disabled = _disabled_lines(source)
-    kept = [
-        f for f in findings
-        if f.rule not in disabled.get(f.line, set())
-        and "ALL" not in disabled.get(f.line, set())
-    ]
-    kept.sort(key=lambda f: (f.path, f.line, f.rule))
-    return kept
-
-
-def _iter_files(paths):
-    for raw in paths:
-        p = Path(raw)
-        if p.is_file() and p.suffix == ".py":
-            yield p
-        elif p.is_dir():
-            for sub in sorted(p.rglob("*.py")):
-                if not SKIPPED_TREE_PARTS.intersection(sub.parts):
-                    yield sub
-
-
-def analyze_paths(paths) -> list[LocksetFinding]:
-    """Analyze every ``.py`` under ``paths``.
-
-    Directories named in :data:`SKIPPED_TREE_PARTS` (tests, benchmarks,
-    examples, fixture corpora) are pruned from tree traversal;
-    explicitly named files are always analyzed.
-    """
-    findings: list[LocksetFinding] = []
-    for path in _iter_files(paths):
-        findings.extend(analyze_source(path.read_text(), str(path)))
+def _scan(sf: SourceFile) -> list[Finding]:
+    """Every class in the file, each analyzed on its own."""
+    guard_comments = {line: m.group(1)
+                      for line, m in sf.annotations(_GUARD_RE).items()}
+    findings: list[Finding] = []
+    for node in ast.walk(sf.tree):
+        if isinstance(node, ast.ClassDef):
+            findings.extend(_ClassScan(sf, guard_comments, node).run())
     return findings
 
 
-def load_baseline(path: str | Path | None,
-                  disabled: bool = False) -> Baseline:
-    """The baseline to apply: empty when disabled or the file is absent."""
-    if disabled:
-        return Baseline.empty()
-    p = Path(path if path is not None else DEFAULT_BASELINE)
-    if p.is_file():
-        return Baseline.load(p)
-    return Baseline.empty()
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro analyze",
-        description="static lockset race analyzer (DT701-DT704)",
-    )
-    parser.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories to analyze (default: src)")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE,
-                        help="baseline file of grandfathered findings "
-                             f"(default: {DEFAULT_BASELINE})")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline and report everything")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from current findings "
-                             "(justifications of surviving entries are kept)")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalogue and exit")
-    args = parser.parse_args(argv)
-    if args.list_rules:
-        for rule_id in sorted(LOCKSET_RULES):
-            print(f"{rule_id}  {LOCKSET_RULES[rule_id]}")
-        return 0
-    findings = analyze_paths(args.paths)
-    baseline = load_baseline(args.baseline, disabled=args.no_baseline)
-    if args.update_baseline:
-        Baseline.write(Path(args.baseline), findings, previous=baseline)
-        print(f"wrote {args.baseline}: {len(findings)} grandfathered "
-              f"finding(s)")
-        return 0
-    fresh, matched = baseline.filter(findings)
-    for f in fresh:
-        print(f)
-    n_files = sum(1 for _ in _iter_files(args.paths))
-    stale = baseline.stale_keys(findings)
-    suffix = f", {len(matched)} baselined" if matched else ""
-    if stale and not args.no_baseline:
-        print(f"note: {len(stale)} stale baseline entrie(s) no longer fire: "
-              + ", ".join(stale))
-    if fresh:
-        print(f"\n{len(fresh)} new finding(s) in {n_files} file(s){suffix}")
-        return 1
-    print(f"lockset clean: {n_files} file(s), 0 new findings{suffix}")
-    return 0
+PASS = Pass("lockset", LOCKSET_RULES, _scan)
+analyze_source = PASS.analyze_source
+analyze_paths = PASS.analyze_paths
+main = PASS.main
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -47,47 +47,36 @@ Two machine-checked comment annotations teach the analyzer ownership:
 - ``# borrows: _slot_of`` declares a field that only *references*
   resources owned elsewhere, exempting it from DT804.
 
-Both accept a comma-separated name list and optional ``--`` prose.  The
-line-scoped ``# lint: disable=DT801`` pragma from
-:mod:`repro.devtools.lint` silences a single finding.
+Both accept a comma-separated name list and optional ``--`` prose.
 
-Baseline
---------
-Same workflow as the lockset analyzer: grandfathered findings live in a
-committed ``resourceflow_baseline.json`` keyed by
-``path:rule:Class.context`` (line-independent), every entry carries a
-written justification, CI fails on new findings and on stale entries.
-Regenerate with ``repro lint --update-baseline``.
-
-Run with ``make analyze``, ``python -m repro.devtools.resource_flow
-[paths]``, or as part of ``repro lint`` / ``make lint``.  The static
-pass is complemented at runtime by
+The pragma, the baseline of grandfathered findings (keys are
+``path:rule:Class.context``) and the command line are the shared ones
+in :mod:`repro.devtools.core`.  Run with ``make analyze``, ``python -m
+repro.devtools.resource_flow [paths]``, or as part of ``repro lint`` /
+``make lint``.  The static pass is complemented at runtime by
 :mod:`repro.devtools.locktrace`'s ``ThreadLeakGuard``, which catches
 the leaks that only manifest on real schedules.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import re
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from repro.devtools.lint import _disabled_lines
-from repro.devtools.lockset import (
-    SKIPPED_TREE_PARTS,
-    Baseline,
-    LocksetFinding,
-    _baseline_path,
+from repro.devtools.core import (
+    DEFAULT_BASELINE,
+    Finding,
+    Pass,
+    SourceFile,
+    load_baseline,
 )
 
 __all__ = [
     "RESOURCE_RULES",
     "DEFAULT_BASELINE",
     "ResourceKind",
-    "ResourceFinding",
     "analyze_source",
     "analyze_paths",
     "load_baseline",
@@ -101,9 +90,6 @@ RESOURCE_RULES: dict[str, str] = {
     "DT804": "daemon-like class whose close() graph never releases an "
              "acquired field",
 }
-
-#: default baseline filename, resolved against the working directory
-DEFAULT_BASELINE = "resourceflow_baseline.json"
 
 #: method names that make a class "daemon-like" (it owns a shutdown
 #: surface) and that, called on ``self`` from an except handler, count
@@ -231,10 +217,6 @@ _CTOR_LAST = {
 _DAEMONIZABLE = (KIND_THREAD, KIND_PROCESS)
 
 
-class ResourceFinding(LocksetFinding):
-    """A DT80x finding plus its line-independent baseline key."""
-
-
 # -- small AST helpers --------------------------------------------------------
 
 
@@ -288,19 +270,23 @@ def _walk_no_defs(node: ast.AST):
 
 
 class _ModuleScan:
-    """One file: aliases, ownership comments, module-local daemon
-    classes, return-kind summaries, then the per-scope passes."""
+    """One file: ownership comments, module-local daemon classes,
+    return-kind summaries, then the per-scope passes."""
 
-    def __init__(self, tree: ast.Module, path: str, source: str):
-        self.tree = tree
-        self.path = path
-        self.aliases = self._collect_aliases()
-        self.ownership = self._collect_ownership(source)
+    def __init__(self, sf: SourceFile):
+        self.tree = sf.tree
+        self.path = sf.path
+        self.dotted = sf.dotted
+        #: line -> ("owns"|"borrows", [field names]) from comments
+        self.ownership: dict[int, tuple[str, list[str]]] = {
+            line: (m.group(1), [n.strip() for n in m.group(2).split(",")])
+            for line, m in sf.annotations(_OWNS_RE).items()
+        }
         #: module-local classes with a shutdown surface act like the
         #: curated daemon constructors (e.g. scenario.Viewer)
         self.local_daemons: set[str] = {
             node.name
-            for node in tree.body
+            for node in sf.tree.body
             if isinstance(node, ast.ClassDef) and any(
                 isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and stmt.name in CLOSE_VERBS
@@ -309,51 +295,7 @@ class _ModuleScan:
         }
         #: module function name -> kind it returns (transfer-by-return)
         self.returns: dict[str, ResourceKind] = {}
-        self.findings: list[ResourceFinding] = []
-
-    def _collect_aliases(self) -> dict[str, str]:
-        aliases: dict[str, str] = {}
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                for a in node.names:
-                    if a.asname:
-                        aliases[a.asname] = a.name
-                    else:
-                        root = a.name.split(".")[0]
-                        aliases[root] = root
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                for a in node.names:
-                    aliases[a.asname or a.name] = f"{node.module}.{a.name}"
-        return aliases
-
-    @staticmethod
-    def _collect_ownership(source: str) -> dict[int, tuple[str, list[str]]]:
-        """line -> ("owns"|"borrows", [field names]) from comments."""
-        import io
-        import tokenize
-
-        found: dict[int, tuple[str, list[str]]] = {}
-        try:
-            for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-                if tok.type != tokenize.COMMENT:
-                    continue
-                m = _OWNS_RE.search(tok.string)
-                if m:
-                    names = [n.strip() for n in m.group(2).split(",")]
-                    found[tok.start[0]] = (m.group(1), names)
-        except tokenize.TokenError:
-            pass  # surfaces as the ast.parse error instead
-        return found
-
-    def dotted(self, node: ast.AST) -> str | None:
-        parts: list[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        parts.append(self.aliases.get(node.id, node.id))
-        return ".".join(reversed(parts))
+        self.findings: list[Finding] = []
 
     # -- acquire-expression classification ------------------------------------
 
@@ -416,13 +358,10 @@ class _ModuleScan:
 
     def report(self, line: int, rule: str, context: str,
                message: str) -> None:
-        key = f"{_baseline_path(self.path)}:{rule}:{context}"
-        self.findings.append(
-            ResourceFinding(path=self.path, line=line, rule=rule,
-                            message=f"{context}: {message}", key=key)
-        )
+        self.findings.append(Finding.keyed(
+            self.path, line, rule, f"{context}: {message}", context))
 
-    def run(self) -> list[ResourceFinding]:
+    def run(self) -> list[Finding]:
         funcs = [n for n in self.tree.body
                  if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
         classes = [n for n in self.tree.body
@@ -1182,106 +1121,17 @@ class _ClosePass:
         self.module.report(line, rule, f"{self.qualname}.{var}", message)
 
 
-# -- public API ---------------------------------------------------------------
+# -- the pass ------------------------------------------------------------------
 
 
-def analyze_source(source: str,
-                   path: str = "<string>") -> list[ResourceFinding]:
-    """Analyze one source string; returns findings not pragma-disabled."""
-    tree = ast.parse(source, filename=path)
-    findings = _ModuleScan(tree, path, source).run()
-    disabled = _disabled_lines(source)
-    kept = [
-        f for f in findings
-        if f.rule not in disabled.get(f.line, set())
-        and "ALL" not in disabled.get(f.line, set())
-    ]
-    kept.sort(key=lambda f: (f.path, f.line, f.rule))
-    return kept
+def _scan(sf: SourceFile) -> list[Finding]:
+    return _ModuleScan(sf).run()
 
 
-def _iter_files(paths):
-    for raw in paths:
-        p = Path(raw)
-        if p.is_file() and p.suffix == ".py":
-            yield p
-        elif p.is_dir():
-            for sub in sorted(p.rglob("*.py")):
-                if not SKIPPED_TREE_PARTS.intersection(sub.parts):
-                    yield sub
-
-
-def analyze_paths(paths) -> list[ResourceFinding]:
-    """Analyze every ``.py`` under ``paths`` (tests/benchmarks/examples
-    pruned from tree traversal; explicit files always analyzed)."""
-    findings: list[ResourceFinding] = []
-    for path in _iter_files(paths):
-        findings.extend(analyze_source(path.read_text(), str(path)))
-    return findings
-
-
-BASELINE_COMMENT = (
-    "Grandfathered DT80x resource-flow findings; every entry needs a "
-    "written justification. Regenerate with "
-    "`repro lint --update-baseline` (see docs/devtools.md)."
-)
-
-
-def load_baseline(path: str | Path | None,
-                  disabled: bool = False) -> Baseline:
-    """The baseline to apply: empty when disabled or the file is absent."""
-    if disabled:
-        return Baseline.empty()
-    p = Path(path if path is not None else DEFAULT_BASELINE)
-    if p.is_file():
-        return Baseline.load(p)
-    return Baseline.empty()
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro resource-flow",
-        description="static resource-lifecycle analyzer (DT801-DT804)",
-    )
-    parser.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories to analyze (default: src)")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE,
-                        help="baseline file of grandfathered findings "
-                             f"(default: {DEFAULT_BASELINE})")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline and report everything")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from current findings "
-                             "(justifications of surviving entries are kept)")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalogue and exit")
-    args = parser.parse_args(argv)
-    if args.list_rules:
-        for rule_id in sorted(RESOURCE_RULES):
-            print(f"{rule_id}  {RESOURCE_RULES[rule_id]}")
-        return 0
-    findings = analyze_paths(args.paths)
-    baseline = load_baseline(args.baseline, disabled=args.no_baseline)
-    if args.update_baseline:
-        Baseline.write(Path(args.baseline), findings, previous=baseline,
-                       comment=BASELINE_COMMENT)
-        print(f"wrote {args.baseline}: {len(findings)} grandfathered "
-              f"finding(s)")
-        return 0
-    fresh, matched = baseline.filter(findings)
-    for f in fresh:
-        print(f)
-    n_files = sum(1 for _ in _iter_files(args.paths))
-    stale = baseline.stale_keys(findings)
-    suffix = f", {len(matched)} baselined" if matched else ""
-    if stale and not args.no_baseline:
-        print(f"note: {len(stale)} stale baseline entrie(s) no longer fire: "
-              + ", ".join(stale))
-    if fresh:
-        print(f"\n{len(fresh)} new finding(s) in {n_files} file(s){suffix}")
-        return 1
-    print(f"resource-flow clean: {n_files} file(s), 0 new findings{suffix}")
-    return 0
+PASS = Pass("resourceflow", RESOURCE_RULES, _scan)
+analyze_source = PASS.analyze_source
+analyze_paths = PASS.analyze_paths
+main = PASS.main
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -33,7 +33,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.devtools.lockset import guarded_by
+from repro.devtools.guards import guarded_by
 
 __all__ = ["FrameCache", "CacheStats"]
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.compress import Codec, get_codec
 from repro.compress.context import CodecContext
-from repro.devtools.lockset import guarded_by
+from repro.devtools.guards import guarded_by
 from repro.daemon.protocol import (
     ControlMessage,
     FrameMessage,

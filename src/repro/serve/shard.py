@@ -37,7 +37,7 @@ import time
 
 import numpy as np
 
-from repro.devtools.lockset import guarded_by
+from repro.devtools.guards import guarded_by
 from repro.net.hashring import HashRing
 from repro.serve.broker import SessionBroker
 from repro.serve.encode_pool import EncodePool
