@@ -31,7 +31,7 @@ from repro.core import (
 )
 from repro.data import DATASET_REGISTRY, get_dataset
 from repro.net import get_route
-from repro.render import Camera, TransferFunction, render_volume, to_display_rgb
+from repro.render import Camera, RayCaster, TransferFunction, render_volume, to_display_rgb
 from repro.render.ppm import write_ppm
 from repro.sim.cluster import NASA_O2K, O2_CLIENT, RWCP_CLUSTER
 from repro.sim.costs import JET_PROFILE, MIXING_PROFILE, VORTEX_PROFILE
@@ -401,9 +401,10 @@ def cmd_serve(args) -> int:
             azimuth=args.azimuth,
             elevation=args.elevation,
         )
-        tf = _default_tf(args)
+        # one view for the whole sequence: its ray plan is built once
+        caster = RayCaster(tf=_default_tf(args), camera=cam)
         frames = [
-            to_display_rgb(render_volume(dataset.volume(t), tf, cam))
+            to_display_rgb(caster.render(dataset.volume(t)))
             for t in range(min(args.frames, dataset.n_steps))
         ]
     n_slow = min(args.slow, args.viewers)

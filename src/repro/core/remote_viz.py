@@ -15,8 +15,9 @@ paper-testbed timing figures come from :mod:`repro.core.pipeline`.
 
 from __future__ import annotations
 
+import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -29,17 +30,20 @@ from repro.data.datasets import TimeVaryingDataset
 from repro.machine import run_spmd
 from repro.render import (
     Camera,
+    RayCaster,
     cull_empty_space,
     TransferFunction,
     binary_swap,
     composite_bricks,
     decompose,
-    render_volume,
+    render_volume,  # noqa: F401 -- not called here (bricks render through the caster); e2ebench's tracer test looks this binding up
     to_display_rgb,
     visibility_order,
 )
 
 __all__ = ["RemoteVisualizationSession", "SessionReport"]
+
+_UNIT_BOX = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 
 
 @dataclass
@@ -128,6 +132,11 @@ class RemoteVisualizationSession:  # speaks: renderer
         self.cull = cull
         self.background = background
 
+        # the renderer of the current (camera, tf, shading), with the
+        # ray plans of that view; see _caster()
+        self._caster_lock = threading.Lock()
+        self._ray_caster: RayCaster | None = None  # guarded-by: _caster_lock
+
         self.daemon = DisplayDaemon(buffer_frames=buffer_frames)
         self.renderer = RendererInterface(self.daemon, codec=codec)
         self.display = DisplayInterface(self.daemon)
@@ -144,8 +153,6 @@ class RemoteVisualizationSession:  # speaks: renderer
 
     def _apply_controls(self) -> None:
         """Fold buffered user inputs into the *next* frame's parameters."""
-        from dataclasses import replace
-
         for msg in self.renderer.drain_controls():
             if msg.tag == "view":
                 self.camera = self.camera.with_view(
@@ -191,65 +198,93 @@ class RemoteVisualizationSession:  # speaks: renderer
                 if msg.tag not in CONTROL_TAGS:
                     self.unknown_controls += 1
 
-    def render_step(self, t: int) -> np.ndarray:
-        """Render time step ``t`` to a display-ready uint8 RGB image."""
+    def _caster(self) -> RayCaster:
+        """The caster every brick of the next frame renders through.
+
+        One caster lives as long as the view it was made for: while
+        ``camera``, ``tf`` and ``shading`` stay what they were (compared
+        here, so a control message and a plain ``session.camera = ...``
+        are caught alike) the animation marches the plans of its first
+        frame; when one changes, the caster and its plans are dropped.
+        """
+        with self._caster_lock:
+            caster = self._ray_caster
+            if (
+                caster is None
+                or caster.camera != self.camera
+                or caster.tf != self.tf
+                or caster.shading != self.shading
+            ):
+                caster = self._ray_caster = RayCaster(
+                    tf=self.tf, camera=self.camera, shading=self.shading
+                )
+            return caster
+
+    def _bricks(self, t: int, caster: RayCaster):
+        """Data input for step ``t``: ``(volume, bricks)`` -- the volume,
+        cropped to its visible box under ``cull``, and one brick per
+        processor of the group in world space, nearest to ``caster``'s
+        viewer first (rank order for ``binary_swap``).  ``None`` when
+        nothing in the step is visible."""
         volume = self.dataset.volume(t)
-        world_box = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+        world_box = _UNIT_BOX
         if self.cull:
             culled = cull_empty_space(
-                volume, threshold=self.tf.opacity_threshold()
+                volume, threshold=caster.tf.opacity_threshold()
             )
-            if culled is None:  # nothing visible: an empty frame
-                h, w = self.camera.image_size
-                return to_display_rgb(
-                    np.zeros((h, w, 4), dtype=np.float32),
-                    background=self.background,
-                )
+            if culled is None:
+                return None
             volume, world_box = culled
-        dec = decompose(volume.shape, self.group_size)
-        bricks = [self._remap_brick(b, world_box) for b in dec]
-        if self.group_size == 1:
-            rgba = render_volume(
-                volume, self.tf, self.camera, box=world_box,
-                shading=self.shading,
-            )
-        elif self.spmd:
-            rgba = self._render_spmd(volume, bricks)
+        bricks = [
+            self._remap_brick(b, world_box)
+            for b in decompose(volume.shape, self.group_size)
+        ]
+        order = visibility_order(bricks, caster.camera)
+        return volume, [bricks[i] for i in order]
+
+    def _empty_frame(self, caster: RayCaster) -> np.ndarray:
+        """The frame of a step with nothing visible: all background."""
+        h, w = caster.camera.image_size
+        return to_display_rgb(
+            np.zeros((h, w, 4), dtype=np.float32), background=self.background
+        )
+
+    def render_step(self, t: int) -> np.ndarray:
+        """Render time step ``t`` to a display-ready uint8 RGB image."""
+        caster = self._caster()
+        found = self._bricks(t, caster)
+        if found is None:
+            return self._empty_frame(caster)
+        volume, bricks = found
+        if self.spmd and self.group_size > 1:
+            rgba = self._render_spmd(volume, bricks, caster)
         else:
-            partials = [
-                render_volume(
-                    b.extract(volume), self.tf, self.camera,
-                    box=b.box, shading=self.shading,
-                )
-                for b in bricks
-            ]
-            rgba = composite_bricks(partials, bricks, self.camera)
+            partials = [caster.render(b.extract(volume), b.box) for b in bricks]
+            rgba = (
+                partials[0]
+                if len(partials) == 1
+                else composite_bricks(partials, bricks, caster.camera)
+            )
         return to_display_rgb(rgba, background=self.background)
 
     @staticmethod
     def _remap_brick(brick, world_box):
         """Express a brick's unit-cube box inside ``world_box``."""
-        from dataclasses import replace as dc_replace
-
         (lo, hi) = world_box
-        if (lo, hi) == ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)):
+        if world_box == _UNIT_BOX:
             return brick
+        if brick.box == _UNIT_BOX:  # a group of one: its brick is the world box itself
+            return replace(brick, box=world_box)
         blo, bhi = brick.box
         span = [h - l for l, h in zip(lo, hi)]
         new_lo = tuple(lo[a] + span[a] * blo[a] for a in range(3))
         new_hi = tuple(lo[a] + span[a] * bhi[a] for a in range(3))
-        return dc_replace(brick, box=(new_lo, new_hi))
+        return replace(brick, box=(new_lo, new_hi))
 
-    def _render_spmd(self, volume: np.ndarray, bricks) -> np.ndarray:
-        order = visibility_order(bricks, self.camera)
-        tf, camera, shading = self.tf, self.camera, self.shading
-
+    def _render_spmd(self, volume: np.ndarray, bricks, caster: RayCaster) -> np.ndarray:
         def worker(comm):
-            brick = bricks[order[comm.rank]]
-            partial = render_volume(
-                brick.extract(volume), tf, camera, box=brick.box,
-                shading=shading,
-            )
+            brick = bricks[comm.rank]
+            partial = caster.render(brick.extract(volume), brick.box)
             piece, rows = binary_swap(comm, partial)
             gathered = comm.gather((rows, piece))
             if comm.rank == 0:
@@ -272,20 +307,21 @@ class RemoteVisualizationSession:  # speaks: renderer
         and ships it directly from its own thread — no assembled image
         ever exists on the render side.
         """
-        volume = self.dataset.volume(t)
-        bricks = list(decompose(volume.shape, self.group_size))
-        order = visibility_order(bricks, self.camera)
-        tf, camera, background = self.tf, self.camera, self.background
-        shading = self.shading
+        caster = self._caster()
+        found = self._bricks(t, caster)
+        if found is None:  # nothing to swap: the frame goes out whole
+            self.renderer.send_frame(
+                self._empty_frame(caster), time_step=t, frame_id=fid
+            )
+            return
+        volume, bricks = found
+        background = self.background
         renderer = self.renderer
-        h, w = camera.image_size
+        h, w = caster.camera.image_size
 
         def worker(comm):
-            brick = bricks[order[comm.rank]]
-            partial = render_volume(
-                brick.extract(volume), tf, camera, box=brick.box,
-                shading=shading,
-            )
+            brick = bricks[comm.rank]
+            partial = caster.render(brick.extract(volume), brick.box)
             piece, rows = binary_swap(comm, partial)
             # agree on the contributing strips (non-power-of-two groups
             # fold some ranks away, leaving them with empty ranges)
@@ -456,6 +492,8 @@ class RemoteVisualizationSession:  # speaks: renderer
     def close(self) -> None:
         if not self._closed:
             self._closed = True
+            with self._caster_lock:
+                self._ray_caster = None  # and the ray plans with it
             self.renderer.close()
             self.display.close()
             self.daemon.close()

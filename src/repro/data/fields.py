@@ -45,15 +45,20 @@ def jet_field(shape: tuple[int, int, int], t: float, seed: int = 7) -> np.ndarra
         cx = cx + amp[k] * np.sin(arg)
         cy = cy + amp[k] * np.cos(1.3 * arg)
 
-    r2 = (x - cx) ** 2 + (y - cy) ** 2
     # Plume widens downstream; vorticity decays radially and axially.
     width = np.float32(0.0025) + np.float32(0.028) * z**1.5
-    core = np.exp(-r2 / width)
     # Puffs: traveling axial modulation makes discrete vortex rings.
     puffs = 0.62 + 0.38 * np.sin(2 * np.pi * (9.0 * z - 0.45 * t))
     inflow = np.clip(12.0 * z, 0.0, 1.0)  # quiet near the nozzle plane
-    field = core * puffs * inflow * (1.15 - 0.45 * z)
-    return np.clip(field, 0.0, 1.0).astype(np.float32)
+    # cx, cy and width depend on z alone, so the radial Gaussian
+    # exp(-((x-cx)^2 + (y-cy)^2)/width) is a product of an (nx, 1, nz)
+    # and a (1, ny, nz) factor: two small exps and one full-grid pass
+    # written straight into the result.  The axial terms ride on one factor.
+    across_x = np.exp(-((x - cx) ** 2) / width)
+    across_y = np.exp(-((y - cy) ** 2) / width) * (puffs * inflow * (1.15 - 0.45 * z))
+    field = np.empty(shape, dtype=np.float32)
+    np.multiply(across_x, across_y, out=field)
+    return np.clip(field, 0.0, 1.0, out=field)
 
 
 def vortex_field(shape: tuple[int, int, int], t: float, seed: int = 11) -> np.ndarray:

@@ -19,7 +19,7 @@ Pipeline stage mapping (paper Figure 1):
 
 from repro.render.camera import Camera
 from repro.render.transfer_function import TransferFunction
-from repro.render.raycast import RayCaster, cull_empty_space, render_volume
+from repro.render.raycast import RayCaster, RayPlan, cull_empty_space, render_volume
 from repro.render.partition import BrickDecomposition, decompose
 from repro.render.compositing import (
     binary_swap,
@@ -40,6 +40,7 @@ __all__ = [
     "Camera",
     "TransferFunction",
     "RayCaster",
+    "RayPlan",
     "render_volume",
     "cull_empty_space",
     "BrickDecomposition",

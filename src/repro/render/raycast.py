@@ -8,7 +8,7 @@ termination, and subvolume (brick) rendering for the parallel
 decomposition — each processor renders its brick *independent of other
 processors*, producing a premultiplied partial RGBA image.
 
-The march never classifies a sample it can prove transparent.  Each call
+The march never classifies a sample it can prove transparent.  Each march
 builds a min/max macrocell grid over its (sub)volume and marks a cell
 occupied iff some look-up-table entry reachable from the cell's value
 range has non-zero opacity (:func:`_occupancy`).  Rays then advance in
@@ -20,14 +20,30 @@ opacity leave before colour and shading.  A sample of opacity 0 adds
 exactly ``0.0`` to colour and alpha, so none of this is an approximation:
 the image is the one a dense march over the same sample lattice
 ``t0 + k·step`` with the same per-sample early termination produces.
-Surviving samples are classified a batch of steps at a time and
+Surviving samples are classified at most ``_BATCH`` at a time and
 composited front to back in step order; scratch scales with the live
-samples of one batch, not with rays × steps, and there is no module-level
-state, so concurrent calls (SPMD rank threads, pipelined groups) are safe.
+samples of one pass, not with rays × steps or with the image.
+
+What a march needs splits in two.  Everything the voxels do not decide --
+which pixels hit the box, where their rays enter it, how many samples
+they take, and which macrocell each segment of each ray starts in -- is
+a :class:`RayPlan`, a function of ``(camera, box, grid shape, step)``.
+Everything else (occupancy, classification, compositing) is redone for
+every volume.  :func:`render_volume` is the stateless one-shot: it builds
+a plan, marches it and forgets it.  A :class:`RayCaster` keeps the plans
+of its view, a bounded few, for as long as it lives, so an animation from
+a fixed view plans once per brick and marches once per time step.  That
+is all the state there is: it belongs to the caster (none is
+module-level), plans are read-only once built except for cell rows that
+are filled under a lock the first time they are needed, and the per-march
+scratch is local -- concurrent calls (SPMD rank threads, pipelined
+groups), through one caster or none, are safe.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +55,7 @@ __all__ = [
     "render_volume",
     "sample_trilinear",
     "RayCaster",
+    "RayPlan",
     "cull_empty_space",
 ]
 
@@ -48,6 +65,7 @@ _LUT_SIZE = 1024  # classification look-up-table resolution
 _CELL_SHIFT = 2
 _CELL = 1 << _CELL_SHIFT  # macrocell edge in voxel cells
 _BATCH = 1 << 15  # samples classified per NumPy pass (arrays stay in L2)
+_PLANS = 8  # plans a RayCaster keeps: the bricks of one group, whole or 2/4/8-way
 _PIXEL = np.dtype((np.void, 16))  # a pixel's four float32 as one item
 
 
@@ -269,6 +287,104 @@ def _intersect_box(
     return t0, t1
 
 
+class RayPlan:
+    """What a march needs that the voxels do not decide.
+
+    A pure function of ``(camera, box, grid shape, step)``: which pixels'
+    rays hit ``box`` (``pix``, ascending), where each enters it in voxel
+    coordinates (``c0``), how far one sample advances it (``dc``), how
+    many samples it takes (``n``), the segment length ``seg`` of the
+    coarse skip test and, per segment, the macrocell that holds the first
+    sample of every ray still inside the box (:meth:`segments`).  An
+    animation from a fixed view marches the same plan once per time step;
+    only the occupancy the cells are looked up in changes.
+
+    A segment's row is one array of cell ids, in the narrowest unsigned
+    integer that holds the grid, aligned with the rays that reach the
+    segment -- a list the march rebuilds from ``n`` as it goes, so no
+    index list is stored beside the row.  A row is computed the first
+    time a march asks for it (a volume with nothing to skip never does,
+    and rays that all saturate early never reach the late ones) under the
+    plan's lock, and is not touched again.  Every array the plan hands out
+    is read-only, so any number of marches (SPMD rank threads, pipelined
+    groups) share one plan.
+    """
+
+    def __init__(self, camera: Camera, box: Box, shape: tuple[int, int, int], step: float):
+        self.camera, self.box, self.shape, self.step = camera, box, shape, step
+        origins, direction = camera.rays()
+        lo = np.asarray(box[0], dtype=np.float64)
+        span = np.asarray(box[1], dtype=np.float64) - lo
+        t0, t1 = _intersect_box(origins, direction, box)
+        self.pix = pix = np.flatnonzero(t1 > t0)  # pixel of each ray that hits the box
+        #: voxels per world unit along each axis
+        self.scale = scale = (np.asarray(shape, dtype=np.float64) - 1) / span
+        # Rays in voxel space, one row per axis: sample k of ray r sits
+        # at c0[:, r] + k * dc[:, r] (dc is shared when rays are parallel).
+        self.per_ray = direction.ndim == 2
+        d = direction[pix] if self.per_ray else direction[None, :]
+        self.c0 = np.ascontiguousarray(((origins[pix] + t0[pix, None] * d - lo) * scale).T)
+        self.dc = np.ascontiguousarray((d * (scale * step)).T)
+        #: samples per ray
+        self.n = np.ceil((t1[pix] - t0[pix]) / step).astype(np.int32)
+        # Samples per segment.  Directions are unit vectors, so a sample
+        # moves at most step * scale.max() voxels along any axis: the
+        # segment spans less than one macrocell per axis and every sample
+        # of it lies in the first sample's cell or one of its neighbours.
+        self.seg = max(1, int(_CELL / (step * scale.max())))
+        #: macrocells per axis, as :func:`_occupancy` lays them out
+        self.grid = tuple(-(-(m - 1) // _CELL) for m in shape)
+        self._row_dtype = np.min_scalar_type(self.grid[0] * self.grid[1] * self.grid[2] - 1)
+        for a in (self.pix, self.scale, self.c0, self.dc, self.n):
+            a.flags.writeable = False
+        self.n_segments = -(-int(self.n.max()) // self.seg) if pix.size else 0
+        self._lock = threading.Lock()
+        self._rows: list[np.ndarray | None] = [None] * self.n_segments  # guarded-by: _lock
+
+    def describes(self, camera: Camera, box: Box, shape, step: float) -> bool:
+        """Whether this is the plan of a march with these parameters."""
+        return (camera, box, tuple(shape), step) == (
+            self.camera, self.box, self.shape, self.step
+        )
+
+    def cell_ids(self, i: np.ndarray) -> np.ndarray:
+        """Flat macrocell index of the ``(3, ...)`` voxel cells ``i``."""
+        m = i >> _CELL_SHIFT
+        return (m[0] * self.grid[1] + m[1]) * self.grid[2] + m[2]
+
+    def segments(self, cells: bool):
+        """Walk the segments front to back: ``(k0, reach, row)`` per
+        segment, ``k0`` its first sample, ``reach`` the rays (ascending
+        indices into ``pix``/``c0``/``n``) whose span of the box gets that
+        far, and ``row`` the macrocell of sample ``k0`` of each of them --
+        ``None`` when ``cells`` is false, for a march with nothing to skip.
+        """
+        reach = np.arange(self.pix.size)
+        for k in range(self.n_segments):
+            k0 = k * self.seg
+            if k:
+                reach = reach[self.n.take(reach) > k0]
+            yield k0, reach, (self._row(k, reach) if cells else None)
+
+    def _row(self, k: int, reach: np.ndarray) -> np.ndarray:
+        with self._lock:
+            row = self._rows[k]
+            if row is None:
+                dc = self.dc.take(reach, axis=1) if self.per_ray else self.dc
+                start = self.c0.take(reach, axis=1) + (k * self.seg) * dc
+                row = self.cell_ids(_cells(start, self.shape)[1]).astype(self._row_dtype)
+                row.flags.writeable = False
+                self._rows[k] = row
+        return row
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held now: the ray table plus the rows filled so far."""
+        with self._lock:
+            rows = sum(row.nbytes for row in self._rows if row is not None)
+        return rows + sum(a.nbytes for a in (self.pix, self.c0, self.dc, self.n))
+
+
 def render_volume(
     volume: np.ndarray,
     tf: TransferFunction,
@@ -280,6 +396,7 @@ def render_volume(
     shading: bool = False,
     light_direction: tuple[float, float, float] = (-0.5, -0.3, -0.8),
     ambient: float = 0.35,
+    plan: RayPlan | None = None,
 ) -> np.ndarray:
     """Render a (sub)volume into a premultiplied RGBA float32 image.
 
@@ -303,6 +420,12 @@ def render_volume(
     light_direction, ambient:
         Directional light (world space, normalized internally) and the
         ambient floor of the shading term.
+    plan:
+        The :class:`RayPlan` of ``(camera, box, volume.shape, step)``, for
+        a caller that renders this view more than once
+        (:class:`RayCaster` keeps them); built here when not given.  It
+        saves work, not a decision: the image is the same either way, and
+        a plan made for other parameters raises ``ValueError``.
 
     Returns
     -------
@@ -312,23 +435,17 @@ def render_volume(
     if volume.ndim != 3:
         raise ValueError(f"volume must be 3-D, got shape {volume.shape}")
     vol = np.ascontiguousarray(volume, dtype=np.float32)
+    shape = vol.shape
+    box, step = _resolve(box, shape, step)
+    if plan is None:
+        plan = RayPlan(camera, box, shape, step)
+    elif not plan.describes(camera, box, shape, step):
+        raise ValueError(
+            f"plan is for {(plan.camera, plan.box, plan.shape, plan.step)}, "
+            f"not for {(camera, box, shape, step)}"
+        )
     h, w = camera.image_size
-    origins, direction = camera.rays()
-
-    lo = np.asarray(box[0], dtype=np.float64)
-    hi = np.asarray(box[1], dtype=np.float64)
-    span = hi - lo
-    if np.any(span <= 0):
-        raise ValueError(f"degenerate box {box}")
-    if step is None:
-        # voxel spacing along each axis in world units
-        spacing = span / np.maximum(np.asarray(vol.shape) - 1, 1)
-        step = float(spacing.min()) * 0.5
-    if step <= 0:
-        raise ValueError("step must be positive")
-
-    t0, t1 = _intersect_box(origins, direction, box)
-    out = np.zeros((origins.shape[0], 4), dtype=np.float32)
+    out = np.zeros((h * w, 4), dtype=np.float32)
     # whole-pixel items: 1-D fancy assignment is several times faster
     # than scattering (n, 4) rows
     pixels = out.view(_PIXEL).reshape(-1)
@@ -340,72 +457,55 @@ def render_volume(
             raise ValueError("bad light_direction or ambient")
         light = (light / norm).astype(np.float32)
 
-    pix = np.flatnonzero(t1 > t0)  # pixel of each ray that hits the box
-    if pix.size:
-        shape = vol.shape
-        scale = (np.asarray(shape, dtype=np.float64) - 1) / span
-        # Classification LUT: one opacity-corrected table lookup per
-        # sample instead of four np.interp evaluations; 1/1024 scalar
-        # quantization is far below voxel noise.  Opacity is gathered on
-        # its own; the colour table carries 1 in its alpha slot so one
-        # scaled add accumulates colour and opacity together.
-        lut = tf.sample(
-            np.linspace(0.0, 1.0, _LUT_SIZE + 1, dtype=np.float32), step=step
-        ).astype(np.float32)
-        lut_alpha = lut[:, 3].copy()
-        lut[:, 3] = 1.0
+    if not plan.pix.size:
+        return out.reshape(h, w, 4)
 
-        # Rays in voxel space, one row per axis: sample k of ray r sits
-        # at c0[:, r] + k * dc[:, r] (dc is shared when rays are parallel).
-        per_ray = direction.ndim == 2
-        d = direction[pix] if per_ray else direction[None, :]
-        c0 = np.ascontiguousarray(
-            ((origins[pix] + t0[pix, None] * d - lo) * scale).T
-        )
-        dc = np.ascontiguousarray((d * (scale * step)).T)
-        n = np.ceil((t1[pix] - t0[pix]) / step).astype(np.intp)  # samples per ray
+    # Classification LUT: one opacity-corrected table lookup per sample
+    # instead of four np.interp evaluations; 1/1024 scalar quantization is
+    # far below voxel noise.  Opacity is gathered on its own; the colour
+    # table carries 1 in its alpha slot so one scaled add accumulates
+    # colour and opacity together.
+    lut = tf.sample(
+        np.linspace(0.0, 1.0, _LUT_SIZE + 1, dtype=np.float32), step=step
+    ).astype(np.float32)
+    lut_alpha = lut[:, 3].copy()
+    lut[:, 3] = 1.0
 
-        occupied = _occupancy(vol, lut_alpha > 0)
-        if occupied is not None:
-            cy, cz = occupied.shape[1:]
-            nearby = _dilate(occupied).reshape(-1)
-            occupied = occupied.reshape(-1)
+    occupied = _occupancy(vol, lut_alpha > 0)
+    if occupied is not None:
+        nearby = _dilate(occupied).reshape(-1)
+        occupied = occupied.reshape(-1)
 
-            def cell_of(i):
-                m = i >> _CELL_SHIFT
-                return (m[0] * cy + m[1]) * cz + m[2]
-
-        # Samples per segment.  Directions are unit vectors, so a sample
-        # moves at most step * scale.max() voxels along any axis: the
-        # segment spans less than one macrocell per axis and every sample
-        # of it lies in the first sample's cell or one of its neighbours.
-        seg = max(1, int(_CELL / (step * scale.max())))
-
-        alive = np.arange(pix.size)
-        for k0 in range(0, int(n.max()), seg):
-            alive = alive[n.take(alive) > k0]
-            if not alive.size:
-                break
-            rays = alive
-            if occupied is not None:
-                start = c0.take(rays, axis=1) + k0 * (
-                    dc.take(rays, axis=1) if per_ray else dc
-                )
-                rays = rays[nearby.take(cell_of(_cells(start, shape)[1]))]
-                if not rays.size:
-                    continue
-            ray_c0 = c0.take(rays, axis=1)[:, None, :]
-            ray_dc = dc.take(rays, axis=1)[:, None, :] if per_ray else dc[:, :, None]
-            ray_n = n.take(rays)
-            ray_pix = pix.take(rays)
-            batch = max(1, _BATCH // rays.size)
+    pix, c0, dc, seg, scale = plan.pix, plan.c0, plan.dc, plan.seg, plan.scale
+    n = plan.n.copy()  # this march's: a ray that saturates is cut short here
+    for k0, reach, row in plan.segments(cells=occupied is not None):
+        rays = reach if row is None else reach[nearby.take(row)]
+        rays = rays[n.take(rays) > k0]
+        if not rays.size:
+            if row is None or not (n.take(reach) > k0).any():
+                break  # every ray has left the box or saturated
+            continue
+        # At most _BATCH samples per pass, also when one step of the live
+        # rays is more than that: scratch does not grow with the image,
+        # and each pixel still meets its samples in step order.  A shaded
+        # step is not cut: the last bits of _lambert's ``grad @ light``
+        # (BLAS) depend on how many rows one call is given, and cutting
+        # would change a shaded image.
+        width = rays.size if shading else _BATCH
+        for r0 in range(0, rays.size, width):
+            part = rays[r0 : r0 + width]
+            ray_c0 = c0.take(part, axis=1)[:, None, :]
+            ray_dc = dc.take(part, axis=1)[:, None, :] if plan.per_ray else dc[:, :, None]
+            ray_n = n.take(part)
+            ray_pix = pix.take(part)
+            batch = max(1, _BATCH // part.size)
             for k1 in range(k0, k0 + seg, batch):
                 ks = np.arange(k1, min(k1 + batch, k0 + seg))
                 # (3, steps, rays) coordinates; survivors leave as flat lists
                 c, i = _cells(ray_c0 + ks[None, :, None] * ray_dc, shape)
                 live = ks[:, None] < ray_n
                 if occupied is not None:
-                    live &= occupied.take(cell_of(i))
+                    live &= occupied.take(plan.cell_ids(i))
                 sel = np.flatnonzero(live)
                 if not sel.size:
                     continue
@@ -425,8 +525,8 @@ def render_volume(
                         c = c.take(seen, axis=1)
                     color[:, :3] *= _lambert(vol, c, scale, light, ambient)[:, None]
                 # composite step by step: a ray appears once per step
-                at_step = sel // rays.size
-                p = ray_pix.take(sel - at_step * rays.size)
+                at_step = sel // part.size
+                p = ray_pix.take(sel - at_step * part.size)
                 ends = np.searchsorted(at_step, np.arange(ks.size + 1))
                 for j in range(ks.size):
                     s = slice(ends[j], ends[j + 1])
@@ -439,22 +539,48 @@ def render_volume(
                         contrib[a_in >= early_termination] = 0.0
                     acc += contrib[:, None] * color[s]
                     pixels[p[s]] = acc.view(_PIXEL).reshape(-1)
-            # saturated rays leave the march at the segment boundary
-            n[rays[out.take(ray_pix, axis=0)[:, 3] >= early_termination]] = 0
+        # saturated rays leave the march at the segment boundary
+        n[rays[out.take(pix.take(rays), axis=0)[:, 3] >= early_termination]] = 0
 
     return out.reshape(h, w, 4)
+
+
+def _resolve(box: Box, shape, step: float | None) -> tuple[Box, float]:
+    """``box`` as a hashable pair of float triples and the sampling
+    distance ``step`` defaults to, both checked."""
+    box = (tuple(map(float, box[0])), tuple(map(float, box[1])))
+    span = np.subtract(box[1], box[0])
+    if np.any(span <= 0):
+        raise ValueError(f"degenerate box {box}")
+    if step is None:
+        # voxel spacing along each axis in world units
+        spacing = span / np.maximum(np.asarray(shape) - 1, 1)
+        step = float(spacing.min()) * 0.5
+    if step <= 0:
+        raise ValueError("step must be positive")
+    return box, step
 
 
 @dataclass
 class RayCaster:
     """A configured renderer: transfer function + camera + quality knobs.
 
-    The per-frame entry point of the *local rendering* pipeline stage.
-    ``render`` is :func:`render_volume` with these settings: which space
-    it skips is worked out on every call from the brick it is given and
-    ``tf``, so there is nothing to tune or invalidate, nothing is kept
-    between calls, and one instance can be shared by all processors of a
-    group and called from their threads at once.
+    The per-frame entry point of the *local rendering* pipeline stage, and
+    the owner of its view's :class:`RayPlan` s.  ``render`` is
+    :func:`render_volume` with these settings and the plan of the brick's
+    ``(box, shape)``, built on the first frame and marched again on every
+    later one: an animation from a fixed view pays for ray set-up and the
+    coarse-test cell table once per brick, not once per time step.  The
+    caster keeps the ``_PLANS`` most recently used plans and nothing else;
+    a box that changes every step (a session's ``cull=True``), or more
+    bricks than that, costs what the one-shot :func:`render_volume` costs
+    and the map does not grow.  Plans are keyed by the camera and step
+    they were built for, so assigning a new ``camera`` cannot march a
+    stale one, and they are freed with the caster -- whoever changes the
+    view for good drops the caster.  Which space a march skips is still
+    worked out on every call from the brick and ``tf``.  One instance can
+    be shared by all processors of a group and called from their threads
+    at once: the map is locked, the plans are read-only.
     """
 
     tf: TransferFunction
@@ -462,6 +588,28 @@ class RayCaster:
     step: float | None = None
     early_termination: float = 0.98
     shading: bool = False
+
+    def __post_init__(self):
+        self._lock = threading.Lock()
+        self._plans: OrderedDict[tuple, RayPlan] = OrderedDict()  # guarded-by: _lock
+
+    def plan(self, shape: tuple[int, int, int], box: Box = _FULL_BOX) -> RayPlan:
+        """The plan ``render`` marches for a brick of ``shape`` in ``box``."""
+        box, step = _resolve(box, shape, self.step)
+        key = (self.camera, box, tuple(shape), step)
+        with self._lock:
+            plan = self._plans.get(key)
+        if plan is None:
+            # built outside the lock: ranks setting up different bricks do
+            # not wait for each other, and two that race for one brick
+            # both build and keep the first
+            plan = RayPlan(*key)
+        with self._lock:
+            plan = self._plans.setdefault(key, plan)
+            self._plans.move_to_end(key)
+            if len(self._plans) > _PLANS:
+                self._plans.popitem(last=False)
+        return plan
 
     def render(self, volume: np.ndarray, box: Box = _FULL_BOX) -> np.ndarray:
         return render_volume(
@@ -472,4 +620,5 @@ class RayCaster:
             step=self.step,
             early_termination=self.early_termination,
             shading=self.shading,
+            plan=self.plan(volume.shape, box),
         )

@@ -7,7 +7,15 @@ from dense_reference import render_volume_dense
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.render import Camera, TransferFunction, decompose, over, raycast, render_volume
+from repro.render import (
+    Camera,
+    RayCaster,
+    TransferFunction,
+    decompose,
+    over,
+    raycast,
+    render_volume,
+)
 from repro.render.image import assemble_tiles, split_tiles
 
 
@@ -229,3 +237,59 @@ def test_skipping_never_changes_the_image(
     assert np.array_equal(image, unskipped)
     dense = render_volume_dense(volume, tf, camera, **kwargs)
     assert np.abs(image - dense).max() <= 5e-4
+
+
+# -- ray plans -----------------------------------------------------------------
+#
+# A caster marches the plan it built on its first render again on every
+# later one, against whatever volume it is handed.  Nothing in the plan may
+# depend on the voxels of the render that built it: the first (cold) and
+# the later (warm) renders, each of a different volume, must be the images
+# one-shot render_volume calls give.
+
+
+@given(
+    volume=volumes(),
+    seed=st.integers(0, 2**31 - 1),
+    tf=transfer_functions(),
+    box=boxes(),
+    quadrant=st.integers(0, 3),
+    az=st.floats(3.0, 87.0),
+    el=st.floats(-80.0, 80.0),
+    projection=st.sampled_from(["orthographic", "perspective"]),
+    zoom=st.floats(0.8, 2.5),
+    step=st.one_of(st.none(), st.floats(0.01, 0.6)),
+    early_termination=st.floats(0.2, 1.5),
+    shading=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_a_caster_renders_what_one_shot_calls_render(
+    volume, seed, tf, box, quadrant, az, el, projection, zoom, step,
+    early_termination, shading,
+):
+    camera = Camera(
+        image_size=(20, 24),
+        azimuth=90.0 * quadrant + az,
+        elevation=el,
+        projection=projection,
+        zoom=zoom,
+    )
+    caster = RayCaster(
+        tf=tf, camera=camera, step=step,
+        early_termination=early_termination, shading=shading,
+    )
+    rng = np.random.default_rng(seed)
+    # the drawn volume builds the plan; a dense one (every ray runs until
+    # it saturates) and the drawn one reversed (sparse where the first was
+    # not) then march it
+    later = [
+        rng.random(volume.shape).astype(np.float32),
+        np.ascontiguousarray(volume[::-1, ::-1, ::-1]),
+    ]
+    for v in [volume] + later:
+        expected = render_volume(
+            v, tf, camera, box=box, step=step,
+            early_termination=early_termination, shading=shading,
+        )
+        assert np.array_equal(caster.render(v, box), expected)
+    assert len(caster._plans) == 1

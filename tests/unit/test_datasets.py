@@ -12,10 +12,47 @@ from repro.data import (
     turbulent_jet,
     turbulent_vortex,
 )
-from repro.data.fields import jet_field, mixing_field, vortex_field
+from repro.data.fields import jet_field, mixing_field, normalized_grid, vortex_field
+
+
+def jet_field_closed_form(shape, t, seed=7):
+    """``jet_field`` as it was written before the radial Gaussian was
+    split into an x and a y factor: every term evaluated on the full
+    grid.  Kept as the reference the separable form is held to."""
+    x, y, z = normalized_grid(shape)
+    rng = np.random.default_rng(seed)
+    n_modes = 6
+    amp = rng.uniform(0.01, 0.045, n_modes).astype(np.float32)
+    freq = rng.uniform(3.0, 11.0, n_modes).astype(np.float32)
+    speed = rng.uniform(0.6, 1.4, n_modes).astype(np.float32)
+    phase = rng.uniform(0.0, 2 * np.pi, n_modes).astype(np.float32)
+    cx = np.float32(0.5) + np.zeros_like(z)
+    cy = np.float32(0.5) + np.zeros_like(z)
+    for k in range(n_modes):
+        arg = 2 * np.pi * freq[k] * z - speed[k] * t + phase[k]
+        cx = cx + amp[k] * np.sin(arg)
+        cy = cy + amp[k] * np.cos(1.3 * arg)
+    r2 = (x - cx) ** 2 + (y - cy) ** 2
+    width = np.float32(0.0025) + np.float32(0.028) * z**1.5
+    core = np.exp(-r2 / width)
+    puffs = 0.62 + 0.38 * np.sin(2 * np.pi * (9.0 * z - 0.45 * t))
+    inflow = np.clip(12.0 * z, 0.0, 1.0)
+    field = core * puffs * inflow * (1.15 - 0.45 * z)
+    return np.clip(field, 0.0, 1.0).astype(np.float32)
 
 
 class TestFields:
+    @pytest.mark.parametrize("shape", [(129, 129, 104), (24, 24, 20), (40, 33, 57)])
+    @pytest.mark.parametrize("t", [0.0, 40.0, 149.0])
+    def test_separable_jet_matches_the_closed_form(self, shape, t):
+        """exp(-(dx^2 + dy^2)/w) = exp(-dx^2/w) * exp(-dy^2/w): the same
+        field to float32 rounding (a few ulp of values <= 1)."""
+        new, old = jet_field(shape, t), jet_field_closed_form(shape, t)
+        assert new.shape == shape and new.dtype == np.float32
+        assert new.flags.c_contiguous and new.flags.writeable
+        assert new.min() >= 0.0 and new.max() <= 1.0
+        assert np.abs(new - old).max() <= 1e-6
+
     @pytest.mark.parametrize("field_fn", [jet_field, vortex_field])
     def test_shape_dtype_range(self, field_fn):
         vol = field_fn((20, 22, 18), t=3.0)

@@ -109,3 +109,52 @@ def test_sparse_frame_renders_faster_than_a_dense_one():
         f"sparse frame {sparse * 1e3:.0f} ms, dense {dense * 1e3:.0f} ms: "
         f"only {dense / sparse:.2f}x apart"
     )
+
+
+def test_a_kept_ray_plan_pays_and_a_new_one_costs_nothing_extra():
+    """Ray-plan guardrail, as ratios of renders of the same inputs.  A
+    caster on its second frame (plan and cell rows in hand) must beat the
+    one-shot ``render_volume``, which plans every call: 1.3x on the
+    benchmark's jet frame, 1.0x before plans were kept.  A caster on its
+    first frame -- a user dragging the view -- must cost what the one-shot
+    costs, on the jet and on a dense volume that never needs a cell row:
+    1.0x, where a plan that filled every row up front measured 1.7x."""
+    from repro.data import turbulent_jet, turbulent_vortex
+    from repro.render import Camera, RayCaster, TransferFunction, render_volume
+
+    camera = Camera(image_size=(256, 256), azimuth=30.0, elevation=20.0)
+
+    def holds(best, dense):
+        return best["cold"] <= 1.10 * best["one_shot"] and (
+            dense or best["one_shot"] >= 1.15 * best["warm"]
+        )
+
+    def best_of_3(volume, tf, dense):
+        warm = RayCaster(tf=tf, camera=camera)
+        warm.render(volume)
+        renders = {
+            "one_shot": lambda: render_volume(volume, tf, camera),
+            "cold": lambda: RayCaster(tf=tf, camera=camera).render(volume),
+            "warm": lambda: warm.render(volume),
+        }
+        best = dict.fromkeys(renders, float("inf"))
+        # interleaved, so a slow moment hits all three; a shared host has
+        # slow moments longer than a render, so up to three rounds more
+        # while a bound is still missed
+        for round_ in range(6):
+            if round_ >= 3 and holds(best, dense):
+                break
+            for name, render in renders.items():
+                t0 = time.perf_counter()
+                image = render()
+                best[name] = min(best[name], time.perf_counter() - t0)
+                assert image[..., 3].max() > 0.5
+        return best
+
+    jet = best_of_3(turbulent_jet().volume(40), TransferFunction.jet(), dense=False)
+    dense = best_of_3(turbulent_vortex().volume(10), TransferFunction.vortex(), dense=True)
+    report = ", ".join(
+        f"{name} {one['one_shot'] * 1e3:.0f}/{one['cold'] * 1e3:.0f}/{one['warm'] * 1e3:.0f} ms"
+        for name, one in (("jet", jet), ("dense", dense))
+    ) + " (one-shot/cold/warm)"
+    assert holds(jet, dense=False) and holds(dense, dense=True), report

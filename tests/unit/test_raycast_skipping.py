@@ -24,6 +24,7 @@ from repro.compress.metrics import psnr
 from repro.data import shock_mixing, turbulent_jet, turbulent_vortex
 from repro.render import (
     Camera,
+    RayCaster,
     TransferFunction,
     decompose,
     render_volume,
@@ -205,9 +206,10 @@ def test_first_sample_is_taken_whatever_the_termination_threshold(threshold):
     assert np.abs(image - dense).max() <= 5e-4
 
 
-def test_concurrent_renders_equal_serial_ones():
-    """``render_volume`` runs on SPMD rank threads and pipelined group
-    threads at once: no scratch or memo may be shared between calls."""
+def assert_concurrent_renders_equal_serial_ones(make_render):
+    """``make_render(tf, camera)(volume)`` from two threads at once, a
+    different time step each, four rounds started together: every image
+    must be the one a serial one-shot render of that step gives."""
     dataset = turbulent_jet(scale=0.3)
     tf = TransferFunction.jet()
     camera = Camera(image_size=(40, 40))
@@ -215,6 +217,7 @@ def test_concurrent_renders_equal_serial_ones():
     volumes = [dataset.volume(t) for t in steps]
     serial = [render_volume(v, tf, camera, shading=True) for v in volumes]
     assert not np.array_equal(serial[0], serial[1])
+    render = make_render(tf, camera)
 
     rounds = 4
     results = [[None] * rounds for _ in steps]
@@ -225,7 +228,7 @@ def test_concurrent_renders_equal_serial_ones():
         try:
             for r in range(rounds):
                 barrier.wait(timeout=60)
-                results[slot][r] = render_volume(volumes[slot], tf, camera, shading=True)
+                results[slot][r] = render(volumes[slot])
         except BaseException as exc:  # reported by the assertion below
             errors.append(exc)
             raise
@@ -244,3 +247,25 @@ def test_concurrent_renders_equal_serial_ones():
     for slot, expected in enumerate(serial):
         for got in results[slot]:
             assert np.array_equal(got, expected)
+
+
+def test_concurrent_renders_equal_serial_ones():
+    """``render_volume`` runs on SPMD rank threads and pipelined group
+    threads at once: no scratch or memo may be shared between calls."""
+    assert_concurrent_renders_equal_serial_ones(
+        lambda tf, camera: lambda v: render_volume(v, tf, camera, shading=True)
+    )
+
+
+def test_concurrent_renders_through_one_caster_equal_serial_ones():
+    """The pipelined groups of a session share one ``RayCaster``, and their
+    first renders start together: both may build the plan, one is kept,
+    and both go on filling its rows while the other marches it."""
+    casters = []
+
+    def shared(tf, camera):
+        casters.append(RayCaster(tf=tf, camera=camera, shading=True))
+        return casters[0].render
+
+    assert_concurrent_renders_equal_serial_ones(shared)
+    assert len(casters[0]._plans) == 1
