@@ -10,9 +10,9 @@ WAN.  Control messages from displays fan out to every renderer connection
 ``set_codec``/``start_renderer`` tags by forwarding them, per §4.1.
 
 How a renderer frame reaches the display buffers is a pluggable
-:class:`DeliveryPolicy`; the default broadcasts every piece to every
-display, and :mod:`repro.serve` layers session-aware adaptive delivery
-on the same hook.
+:class:`DeliveryPolicy`; the default — and the only one in the tree —
+broadcasts every piece to every display.  (:mod:`repro.serve` does not
+use this hook: it is its own fan-out layer fed by ``publish()``.)
 """
 
 from __future__ import annotations

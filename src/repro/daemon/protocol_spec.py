@@ -24,13 +24,18 @@ forwarder and deliberately has no automaton):
     :class:`repro.serve.session.ViewerSession`).  It delivers frames
     under the credit window, renegotiates tiers, and replays history —
     announcing a ``gap`` first when a resume point has fallen out of
-    the retained window.
+    the retained window.  What it *receives* (``ack``/``seek``/
+    ``leave``) is dispatched by the control pump of
+    :class:`repro.serve.host.SessionHost`.
 ``relay``
     A WAN edge relay (:mod:`repro.relay.daemon`).  Its upstream face
     ingests the broker stream like a client; its downstream face
-    serves viewers like a broker.  Both faces are modelled as states
-    of one endpoint because the relay translates between them (an
-    upstream ``gap`` must be re-announced downstream).
+    serves viewers like a broker — literally: the same
+    :class:`~repro.serve.host.SessionHost` pump speaks for
+    ``broker@serving`` and ``relay@downstream``, which receive the
+    same three tags.  Both faces are modelled as states of one
+    endpoint because the relay translates between them (an upstream
+    ``gap`` must be re-announced downstream).
 ``renderer`` / ``display``
     The §4.1 daemon pairing: the display sends user controls
     (``view``/``zoom``/``projection``/``colormap``/``set_codec``/

@@ -54,8 +54,11 @@ Declaring intent
 - ``# speaks: <endpoint>`` on (or directly above) a ``class``/``def``
   line attributes the whole scope to a protocol endpoint;
   ``# speaks: <endpoint>@<state>`` additionally pins the spec state,
-  tightening DT902-DT904 from endpoint-level to state-level.  Nested
-  annotations override outer ones.
+  tightening DT902-DT904 from endpoint-level to state-level.  Code
+  shared by several endpoints lists them, comma-separated
+  (``# speaks: broker@serving, relay@downstream``): everything the
+  scope handles or sends is checked against each.  Nested annotations
+  override outer ones.
 - ``# wire: <name>`` on (or directly above) a pack/unpack call names
   the record the site encodes; same-named sites are cross-checked.  A
   parenthetical containing ``one-sided``, ``vectorized``, or
@@ -145,7 +148,7 @@ _KIND_PSEUDO_TAGS = {"FrameMessage": "frame"}
 _SINK_NAME_PARTS = ("unknown", "malformed")
 
 _SPEAKS_RE = re.compile(
-    r"#\s*speaks:\s*([A-Za-z_]\w*)(?:@([A-Za-z_]\w*))?")
+    r"#\s*speaks:\s*([A-Za-z_]\w*(?:@\w+)?(?:\s*,\s*[A-Za-z_]\w*(?:@\w+)?)*)")
 _WIRE_RE = re.compile(
     r"#\s*wire:\s*([A-Za-z0-9_.\-]+)(?:\s*\(([^)]*)\))?")
 _ONE_SIDED_WORDS = ("one-sided", "vectorized", "external")
@@ -292,7 +295,7 @@ class _ModuleScan:
     # -- entry point -----------------------------------------------------------
 
     def run(self) -> _ModuleFacts:
-        self._walk_scope(self.tree, endpoint=None, state=None)
+        self._walk_scope(self.tree, speakers=())
         return self.facts
 
     def _finding(self, line: int, rule: str, message: str, key: str):
@@ -301,83 +304,102 @@ class _ModuleScan:
 
     # -- scope walk with # speaks: context -------------------------------------
 
-    def _walk_scope(self, node, endpoint, state):
+    def _walk_scope(self, node, speakers):
+        """``speakers`` is the ``(endpoint, state-or-None)`` tuple the
+        enclosing scopes attribute this code to."""
         for child in ast.iter_child_nodes(node):
-            ep, st = endpoint, state
+            inner = speakers
             if isinstance(child, (ast.ClassDef, ast.FunctionDef,
                                   ast.AsyncFunctionDef)):
                 m = _annotation_at(self.comments, child.lineno,
                                    child.lineno, _SPEAKS_RE)
                 if m:
-                    ep, st = m.group(1), m.group(2)
-                    if ep not in ENDPOINTS:
-                        if f"speaks.{ep}" not in self._speaks_reported:
-                            self._speaks_reported.add(f"speaks.{ep}")
-                            self._finding(
-                                child.lineno, "DT904",
-                                f"`# speaks: {ep}` names an endpoint "
-                                f"absent from protocol_spec (known: "
-                                f"{', '.join(sorted(ENDPOINTS))})",
-                                f"speaks.{ep}")
-                        ep, st = endpoint, state
-                    elif st is not None and st not in ENDPOINTS[ep].states:
-                        if f"speaks.{ep}.{st}" not in self._speaks_reported:
-                            self._speaks_reported.add(f"speaks.{ep}.{st}")
-                            self._finding(
-                                child.lineno, "DT904",
-                                f"`# speaks: {ep}@{st}` names a state "
-                                f"absent from the {ep} spec (known: "
-                                f"{', '.join(sorted(ENDPOINTS[ep].states))})",
-                                f"speaks.{ep}.{st}")
-                        st = None
-            self._inspect_node(child, ep, st)
-            self._walk_scope(child, ep, st)
+                    inner = self._declared_speakers(m.group(1),
+                                                    child.lineno) or speakers
+            self._inspect_node(child, inner)
+            self._walk_scope(child, inner)
+
+    def _declared_speakers(self, text: str, line: int):
+        """The valid ``(endpoint, state)`` pairs a ``# speaks:`` list
+        names; an unknown endpoint is dropped, an unknown state widens
+        to the whole endpoint, and each is reported once."""
+        speakers = []
+        for item in text.split(","):
+            ep, _, st = item.strip().partition("@")
+            st = st or None
+            if ep not in ENDPOINTS:
+                if f"speaks.{ep}" not in self._speaks_reported:
+                    self._speaks_reported.add(f"speaks.{ep}")
+                    self._finding(
+                        line, "DT904",
+                        f"`# speaks: {ep}` names an endpoint "
+                        f"absent from protocol_spec (known: "
+                        f"{', '.join(sorted(ENDPOINTS))})",
+                        f"speaks.{ep}")
+                continue
+            if st is not None and st not in ENDPOINTS[ep].states:
+                if f"speaks.{ep}.{st}" not in self._speaks_reported:
+                    self._speaks_reported.add(f"speaks.{ep}.{st}")
+                    self._finding(
+                        line, "DT904",
+                        f"`# speaks: {ep}@{st}` names a state "
+                        f"absent from the {ep} spec (known: "
+                        f"{', '.join(sorted(ENDPOINTS[ep].states))})",
+                        f"speaks.{ep}.{st}")
+                st = None
+            speakers.append((ep, st))
+        return tuple(speakers)
 
     def _endpoint_facts(self, endpoint) -> _EndpointFacts:
         return self.facts.endpoints.setdefault(endpoint, _EndpointFacts())
 
     # -- node inspection -------------------------------------------------------
 
-    def _inspect_node(self, node, endpoint, state):
+    def _inspect_node(self, node, speakers):
         if isinstance(node, ast.Call):
-            self._inspect_call(node, endpoint, state)
-        elif isinstance(node, ast.Compare) and endpoint:
+            if not self._inspect_wire_call(node):
+                for endpoint, state in speakers:
+                    self._inspect_endpoint_call(node, endpoint, state)
+        elif isinstance(node, ast.Compare):
             for tag in _tag_compare_literals(node):
-                self._record_handle(endpoint, state, tag, node.lineno)
-        elif isinstance(node, (ast.AugAssign, ast.Assign)) and endpoint:
+                for endpoint, state in speakers:
+                    self._record_handle(endpoint, state, tag, node.lineno)
+        elif isinstance(node, (ast.AugAssign, ast.Assign)):
             targets = node.targets if isinstance(node, ast.Assign) \
                 else [node.target]
             for target in targets:
                 name = target.attr if isinstance(target, ast.Attribute) \
                     else getattr(target, "id", "")
                 if any(part in name.lower() for part in _SINK_NAME_PARTS):
-                    self._endpoint_facts(endpoint).has_sink = True
+                    for endpoint, _ in speakers:
+                        self._endpoint_facts(endpoint).has_sink = True
 
-    def _inspect_call(self, node: ast.Call, endpoint, state):
+    def _inspect_wire_call(self, node: ast.Call) -> bool:
+        """Record a ``struct`` pack/unpack site; True when it was one."""
         dotted = self.dotted(node.func)
-        # -- wire sites --------------------------------------------------------
         if dotted in ("struct.pack", "struct.pack_into"):
             self._record_wire(node, "pack", node.args and
                               _const_str(node.args[0]))
-            return
+            return True
         if dotted in ("struct.unpack", "struct.unpack_from",
                       "struct.iter_unpack"):
             self._record_wire(node, "unpack", node.args and
                               _const_str(node.args[0]))
-            return
+            return True
         if isinstance(node.func, ast.Attribute) and \
                 isinstance(node.func.value, ast.Name) and \
                 node.func.value.id in self.struct_consts:
             fmt = self.struct_consts[node.func.value.id]
             if node.func.attr in ("pack", "pack_into"):
                 self._record_wire(node, "pack", fmt)
-                return
+                return True
             if node.func.attr in ("unpack", "unpack_from", "iter_unpack"):
                 self._record_wire(node, "unpack", fmt)
-                return
-        # -- endpoint behaviour ------------------------------------------------
-        if endpoint is None:
-            return
+                return True
+        return False
+
+    def _inspect_endpoint_call(self, node: ast.Call, endpoint, state):
+        dotted = self.dotted(node.func)
         basename = dotted.rsplit(".", 1)[-1] if dotted else None
         if basename == "isinstance" and len(node.args) == 2:
             kind = self.dotted(node.args[1])

@@ -14,7 +14,7 @@ scenarios (origin → relay mesh → viewer pools) are built by
 from repro.relay.daemon import FrameRelay, RelaySession
 from repro.relay.prefetch import PrefetchPolicy, TimelinePrefetcher
 from repro.relay.ring import RelayRing
-from repro.relay.stats import RelayStats
+from repro.relay.stats import RelayCounters, RelayStats
 
 __all__ = [
     "FrameRelay",
@@ -22,5 +22,6 @@ __all__ = [
     "PrefetchPolicy",
     "TimelinePrefetcher",
     "RelayRing",
+    "RelayCounters",
     "RelayStats",
 ]

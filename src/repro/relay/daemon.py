@@ -49,13 +49,15 @@ from repro.daemon.protocol import (
     ProtocolError,
     decode_message,
 )
-from repro.net.faults import FaultPlan, FaultyConnection
-from repro.net.transport import ChannelClosed, FramedConnection, RetryPolicy
+from repro.devtools.guards import guarded_by
+from repro.net.faults import FaultPlan
+from repro.net.transport import RetryPolicy
 from repro.relay.prefetch import PrefetchPolicy, TimelinePrefetcher
 from repro.relay.ring import RelayRing
-from repro.relay.stats import RelayStats
+from repro.relay.stats import RelayCounters, RelayStats
 from repro.serve.cache import FrameCache
-from repro.serve.session import ViewerHandle
+from repro.serve.host import SessionHost, valid_frame_id
+from repro.serve.session import Session, ViewerHandle, rejoin
 from repro.serve.stats import SessionStats
 
 __all__ = ["FrameRelay", "RelaySession"]
@@ -93,8 +95,9 @@ class _PeerLink(NamedTuple):
     handle: ViewerHandle
 
 
-class RelaySession:
-    """Relay-side record of one downstream consumer.
+class RelaySession(Session):
+    """Relay-side record of one downstream consumer: the shared
+    :class:`~repro.serve.session.Session` plus a playback cursor.
 
     Two modes:
 
@@ -113,21 +116,20 @@ class RelaySession:
 
     def __init__(self, name: str, conn, credit_limit: int = 8, *,
                  pull: bool = False, start: int = 0):
-        if credit_limit < 1:
-            raise ValueError("credit_limit must be >= 1")
-        self.name = name
-        self.conn = conn
-        self.credit_limit = credit_limit
+        super().__init__(name, conn, credit_limit, tier="relay", start=start)
         self.pull = pull
-        self._lock = threading.Lock()
-        self.active = True  # guarded-by: _lock
         #: next frame id to deliver
         self.cursor = start  # guarded-by: _lock
         #: pull mode: deliver up to (and including) this id, then pause
         self.pull_until = start - 1 if pull else None  # guarded-by: _lock
-        self.in_flight = 0  # guarded-by: _lock
-        self.last_acked = start - 1  # guarded-by: _lock
-        self._stats = SessionStats(name=name, tier="relay")  # guarded-by: _lock
+
+    def restore(self, start: int, stats: SessionStats | None = None) -> None:
+        """The resumed stream plays from ``start``."""
+        super().restore(start, stats)
+        with self._lock:
+            self.cursor = start
+            if self.pull_until is not None:
+                self.pull_until = start - 1
 
     # -- player side ---------------------------------------------------------
 
@@ -150,17 +152,8 @@ class RelaySession:
     def send_frame(self, msg: FrameMessage) -> str:
         """Deliver one frame (``"sent"``/``"closed"``) and advance."""
         with self._lock:
-            if not self.active:
+            if not self._send_frame(msg):
                 return "closed"
-            try:
-                self.conn.send(msg.encode())
-            except ChannelClosed:
-                self.active = False
-                self._stats.active = False
-                return "closed"
-            self.in_flight += 1
-            self._stats.frames_sent += 1
-            self._stats.bytes_sent += len(msg.payload)
             self.cursor = msg.frame_id + 1
             return "sent"
 
@@ -172,36 +165,22 @@ class RelaySession:
                 self.cursor = frame_id + 1
             self._stats.frames_skipped += 1
 
-    def skip_gap(self, from_frame: int, to_frame: int) -> str:  # speaks: relay@downstream
+    def skip_gap(self, from_frame: int, to_frame: int) -> None:  # speaks: relay@downstream
         """Announce ``[from_frame, to_frame)`` as unrecoverable and jump
         the cursor past the range, mirroring the broker's resume-gap
         announcement so consumers account for the loss up front instead
         of timing out on every missing frame."""
         with self._lock:
-            if not self.active:
-                return "closed"
-            try:
-                self.conn.send(ControlMessage(
-                    tag="gap",
-                    params={"from": from_frame, "to": to_frame},
-                ).encode())
-            except ChannelClosed:
-                self.active = False
-                self._stats.active = False
-                return "closed"
+            if not self._send(ControlMessage(
+                tag="gap", params={"from": from_frame, "to": to_frame}
+            )):
+                return
             if self.cursor < to_frame:
                 skipped = to_frame - max(self.cursor, from_frame)
                 self._stats.frames_skipped += skipped
                 self.cursor = to_frame
-            return "sent"
 
     # -- pump side -----------------------------------------------------------
-
-    def on_ack(self, frame_id: int) -> None:
-        with self._lock:
-            self.in_flight = max(0, self.in_flight - 1)
-            self.last_acked = max(self.last_acked, frame_id)
-            self._stats.acks += 1
 
     def on_seek(self, frame_id: int, max_seen: int) -> None:
         """Move the cursor; a pull session arms one delivery burst up
@@ -211,20 +190,7 @@ class RelaySession:
             if self.pull_until is not None:
                 self.pull_until = max_seen
 
-    def deactivate(self) -> None:
-        with self._lock:
-            self.active = False
-            self._stats.active = False
-
     # -- locked accessors (the relay reads these cross-thread) ---------------
-
-    def is_active(self) -> bool:
-        with self._lock:
-            return self.active
-
-    def cursor_pos(self) -> int:
-        with self._lock:
-            return self.cursor
 
     def prefetch_hint(self) -> int | None:
         """The cursor, when this session has (or may soon have) pending
@@ -243,21 +209,6 @@ class RelaySession:
                 return True
             limit = self.pull_until if self.pull_until is not None else max_seen
             return self.cursor > limit and self.in_flight == 0
-
-    def resume_state(self) -> tuple[SessionStats, int]:
-        with self._lock:
-            return self._stats, self.last_acked
-
-    def restore(self, stats: SessionStats) -> None:
-        """Adopt a parked session's cumulative stats on rejoin."""
-        with self._lock:
-            stats.active = True
-            stats.reconnects += 1
-            self._stats = stats
-
-    def stats_snapshot(self) -> SessionStats:
-        with self._lock:
-            return self._stats.copy(active=self.active)
 
 
 class FrameRelay:  # speaks: relay
@@ -313,9 +264,18 @@ class FrameRelay:  # speaks: relay
         self._wake = threading.Condition()
         #: interruptible sleep for reconnect/backoff loops
         self._closing = threading.Event()
-        self._sessions: dict[str, RelaySession] = {}  # guarded-by: _lock
-        self._departed: list[SessionStats] = []  # guarded-by: _lock
-        self._resume: dict[str, tuple[SessionStats, int]] = {}  # guarded-by: _lock
+        #: every counter of this relay (see RelayCounters for meanings)
+        self.counters = RelayCounters()  # guarded-by: _lock
+        #: who is joined downstream, their control pumps, what a rejoin
+        #: resumes from, and this relay's threads — under the relay lock
+        self._host = SessionHost(
+            f"relay {name!r}",
+            self._lock,
+            self.counters,
+            seek=self._on_seek,
+            admitted=self._start_player,
+            changed=self._notify,
+        )
         #: frame envelope metadata by id (small; survives store eviction)
         self._frames: dict[int, _FrameMeta] = {}  # guarded-by: _lock
         self._max_seen = -1  # guarded-by: _lock
@@ -333,42 +293,17 @@ class FrameRelay:  # speaks: relay
         #: parked here at arrival so a replay burst racing the store's
         #: eviction can never outrun the blocked player
         self._ready: dict[int, tuple[_FrameMeta, bytes]] = {}  # guarded-by: _lock
-        self._threads: list[threading.Thread] = []  # guarded-by: _lock
-        self._session_counter = 0  # guarded-by: _lock
-        self._closed = False  # guarded-by: _lock
         #: whether the upstream tier told us which quality we watch
         self.upstream_tier: str | None = None  # guarded-by: _lock
         #: half-open [from, to) ranges upstream declared unrecoverable
         #: (resume past the retained history window); players skip them
         self._gaps: list[tuple[int, int]] = []  # guarded-by: _lock
 
-        # counters (see RelayStats for meanings)
-        self.frames_served = 0  # guarded-by: _lock
-        self.store_hits = 0  # guarded-by: _lock
-        self.store_waits = 0  # guarded-by: _lock
-        self.frames_unavailable = 0  # guarded-by: _lock
-        self.origin_frames = 0  # guarded-by: _lock
-        self.peer_frames = 0  # guarded-by: _lock
-        self.fetch_requests = 0  # guarded-by: _lock
-        self.prefetch_issued = 0  # guarded-by: _lock
-        self.prefetch_fills = 0  # guarded-by: _lock
-        self.resumes = 0  # guarded-by: _lock
-        self.upstream_gaps = 0  # guarded-by: _lock
-        self.upstream_reconnects = 0  # guarded-by: _lock
-        self.peer_failovers = 0  # guarded-by: _lock
-        self.malformed = 0  # guarded-by: _lock
-        self.unknown_controls = 0  # guarded-by: _lock
-
         self._upstream_name = f"relay:{name}"
         self._prefetcher: TimelinePrefetcher | None = None
-        self._upstream_handle = upstream.join(
-            self._upstream_name,
-            fault_plan=fault_plan,
-            retry=self.retry,
-            credit_limit=upstream_credits,
-        )  # guarded-by: _lock
+        self._upstream_handle = self._dial(upstream, fault_plan, None)  # guarded-by: _lock
         try:
-            self._spawn(self._ingest_origin, name=f"{name}-origin-ingest")
+            self._host.spawn(self._ingest_origin, name=f"{name}-origin-ingest")
             self._prefetcher = TimelinePrefetcher(
                 self, prefetch or PrefetchPolicy())
             self._prefetcher.start()
@@ -392,77 +327,50 @@ class FrameRelay:  # speaks: relay
     ) -> ViewerHandle:
         """Admit a downstream consumer; returns its viewer-side handle.
 
-        Mirrors :meth:`SessionBroker.join` so resilient viewers (and
-        relays chaining to a peer) treat origin and relay uniformly.
-        ``resume_from`` starts the playback cursor there — that is the
-        whole failover contract: a viewer whose relay died joins a peer
-        with ``resume_from`` = the next frame id it needs, and the
-        stream continues with no duplicate and no skip.  ``mode="pull"``
-        creates a paused request/response session (peer fetch surface).
+        The same admission as :meth:`SessionBroker.join` — both go
+        through one :class:`~repro.serve.host.SessionHost` — so
+        resilient viewers (and relays chaining to a peer) treat origin
+        and relay uniformly.  ``resume_from`` starts the playback
+        cursor there — that is the whole failover contract: a viewer
+        whose relay died joins a peer with ``resume_from`` = the next
+        frame id it needs, and the stream continues with no duplicate
+        and no skip.  ``mode="pull"`` creates a paused request/response
+        session (peer fetch surface); ``start`` is where a fresh
+        (not resumed) session's cursor begins.
         """
         if mode not in ("follow", "pull"):
             raise ValueError(f"mode must be 'follow' or 'pull', not {mode!r}")
-        with self._lock:
-            if self._closed:
-                raise RuntimeError(f"join() on a closed relay {self.name!r}")
-            if name is None:
-                name = f"viewer{self._session_counter}"
-            self._session_counter += 1
-            existing = self._sessions.get(name)
-            if existing is not None:
-                if existing.is_active():
-                    raise ValueError(f"session {name!r} already joined")
-                self._sessions.pop(name)
-                self._resume.setdefault(name, existing.resume_state())
-            resume = self._resume.pop(name, None)
-            relay_side, viewer_side = FramedConnection.pair(
-                f"{name}@{self.name}", f"{name}-viewer"
-            )
-            conn = relay_side
-            if fault_plan is not None:
-                conn = FaultyConnection(relay_side, fault_plan, retry=retry)
-            if resume_from is not None:
-                start = resume_from
-            elif resume is not None:
-                start = resume[1] + 1  # parked last_acked
-            session = RelaySession(
+
+        def make(name: str, conn) -> RelaySession:
+            return RelaySession(
                 name,
                 conn,
                 credit_limit or self.credit_limit,
                 pull=(mode == "pull"),
                 start=start,
             )
-            resumed = resume is not None or resume_from is not None
-            if resume is not None:
-                session.restore(resume[0])
-            if resumed:
-                self.resumes += 1
-            self._sessions[name] = session
-        self._spawn(self._pump, session, name=f"{name}@{self.name}-pump")
-        self._spawn(self._player, session, name=f"{name}@{self.name}-player")
-        self._notify()
-        return ViewerHandle(name, viewer_side, CodecContext(), resumed=resumed)
 
-    def _detach(self, session: RelaySession, resumable: bool) -> None:
-        with self._lock:
-            current = self._sessions.get(session.name)
-            if current is not session:
-                return
-            self._sessions.pop(session.name)
-        session.deactivate()
-        snapshot = session.stats_snapshot()
-        with self._lock:
-            self._departed.append(snapshot)
-            if resumable:
-                self._resume.setdefault(session.name, session.resume_state())
-            else:
-                self._resume.pop(session.name, None)
-        session.conn.close()
+        handle = self._host.admit(
+            name, make, CodecContext(), fault_plan=fault_plan, retry=retry,
+            resume_from=resume_from,
+        )
+        self._notify()
+        return handle
+
+    @guarded_by("_lock")
+    def _start_player(self, session: RelaySession, start: int | None) -> None:
+        """The host's admission hook: every session gets a player."""
+        self._host.spawn_locked(
+            self._player, session, name=f"{session.name}@{self.name}-player"
+        )
+
+    def _on_seek(self, session: RelaySession, frame_id: int) -> None:
+        """The host's seek hook: move the cursor, wake the player."""
+        session.on_seek(frame_id, self.max_seen())
         self._notify()
 
     def sessions(self) -> list[str]:
-        with self._lock:
-            return sorted(self._sessions)
+        return self._host.names()
 
     # -- peer mesh -----------------------------------------------------------
 
@@ -481,7 +389,7 @@ class FrameRelay:  # speaks: relay
         with self._lock:
             self._peers[peer.name] = link
             self._dead_peers.discard(peer.name)
-        self._spawn(self._ingest_peer, link,
+        self._host.spawn(self._ingest_peer, link,
                     name=f"{self.name}-peer-{peer.name}-ingest")
 
     def _mark_peer_dead(self, peer_name: str) -> None:
@@ -534,7 +442,7 @@ class FrameRelay:  # speaks: relay
             msg = decode_message(raw)
         except ProtocolError:
             with self._lock:
-                self.malformed += 1
+                self.counters.malformed += 1
             return
         if isinstance(msg, FrameMessage):
             self._ingest_frame(msg, source)
@@ -554,10 +462,10 @@ class FrameRelay:  # speaks: relay
                 self._note_gap(msg.params.get("from"), msg.params.get("to"))
             else:
                 with self._lock:
-                    self.unknown_controls += 1
+                    self.counters.unknown_controls += 1
         else:
             with self._lock:
-                self.malformed += 1
+                self.counters.malformed += 1
 
     def _ingest_frame(self, msg: FrameMessage, source: str) -> None:
         meta = _FrameMeta(
@@ -575,11 +483,11 @@ class FrameRelay:  # speaks: relay
             speculative = fid in self._prefetch_wanted
             self._prefetch_wanted.discard(fid)
             if speculative:
-                self.prefetch_fills += 1
+                self.counters.prefetch_fills += 1
             if source == "origin":
-                self.origin_frames += 1
+                self.counters.origin_frames += 1
             else:
-                self.peer_frames += 1
+                self.counters.peer_frames += 1
             if fid in self._want:
                 self._ready[fid] = (meta, payload)
                 speculative = False  # a demanded frame is never a gamble
@@ -592,15 +500,15 @@ class FrameRelay:  # speaks: relay
         announcement (sent by the broker when our resume point fell out
         of its retained window) so players jump the range instead of
         waiting out the fetch timeout frame by frame."""
-        if (not self._valid_frame_id(from_frame)
-                or not self._valid_frame_id(to_frame)
+        if (not valid_frame_id(from_frame)
+                or not valid_frame_id(to_frame)
                 or to_frame <= from_frame):
             with self._lock:
-                self.malformed += 1
+                self.counters.malformed += 1
             return
         with self._lock:
             self._gaps.append((from_frame, to_frame))
-            self.upstream_gaps += 1
+            self.counters.upstream_gaps += 1
         self._notify()
 
     def _gap_end(self, frame_id: int) -> int | None:
@@ -621,36 +529,36 @@ class FrameRelay:  # speaks: relay
                          if frame_id < fid < end]
             return min(recovered) if recovered else end
 
+    def _dial(self, upstream, plan: FaultPlan | None,
+              resume_from: int | None) -> ViewerHandle:
+        """One attempt at the upstream session, under this relay's name."""
+        return upstream.join(
+            self._upstream_name,
+            fault_plan=plan,
+            retry=self.retry,
+            resume_from=resume_from,
+            credit_limit=self.upstream_credits,
+        )
+
     def _reconnect_upstream(self) -> ViewerHandle | None:
-        """Re-establish the upstream session with resume (PR 3 path)."""
+        """Re-establish the upstream session with resume: the one
+        :func:`~repro.serve.session.rejoin` policy, with a single
+        target (a closed upstream means giving up at once)."""
         plan = self.fault_plan.reconnected() if self.fault_plan else None
         with self._lock:
             stale = self._upstream_handle
-        # the session died with its connection, but the viewer-side
-        # socket/channel fd survives until someone closes it
-        stale.conn.close()
-        deadline = time.monotonic() + self.reconnect_timeout
-        while not self._closing.is_set() and time.monotonic() < deadline:
-            try:
-                handle = self.upstream.join(
-                    self._upstream_name,
-                    fault_plan=plan,
-                    retry=self.retry,
-                    resume_from=self.max_seen() + 1,
-                    credit_limit=self.upstream_credits,
-                )
-            except ValueError:
-                # the upstream has not reaped the dead session yet
-                self._closing.wait(0.005)
-                continue
-            except RuntimeError:  # upstream closed for good
-                return None
-            with self._lock:
-                self._upstream_handle = handle
-                self.upstream_reconnects += 1
-            self._notify()
-            return handle
-        return None
+        joined = rejoin(
+            stale, [self.upstream], 0, self._closing,
+            lambda upstream: self._dial(upstream, plan, self.max_seen() + 1),
+            timeout=self.reconnect_timeout,
+        )
+        if joined is None:
+            return None
+        with self._lock:
+            self._upstream_handle = joined[0]
+            self.counters.upstream_reconnects += 1
+        self._notify()
+        return joined[0]
 
     # -- fetch routing -------------------------------------------------------
 
@@ -688,9 +596,9 @@ class FrameRelay:  # speaks: relay
                 return
             self._last_seek[target_name] = (frame_id, now)
             if prefetch:
-                self.prefetch_issued += 1
+                self.counters.prefetch_issued += 1
             else:
-                self.fetch_requests += 1
+                self.counters.fetch_requests += 1
         try:
             handle.seek(frame_id)
         except ConnectionError:
@@ -698,7 +606,7 @@ class FrameRelay:  # speaks: relay
                 # the owning peer died mid-request: re-route to origin
                 self._mark_peer_dead(target_name)
                 with self._lock:
-                    self.peer_failovers += 1
+                    self.counters.peer_failovers += 1
                     self._last_seek.pop("origin", None)
                 self._request_fetch(frame_id, prefetch=prefetch, urgent=urgent)
             # origin send failures are handled by the reconnect pump
@@ -726,8 +634,7 @@ class FrameRelay:  # speaks: relay
         while not self._is_closed():
             state, fid = session.next_deliverable(self.max_seen())
             if state == "closed":
-                self._detach(session, resumable=True)
-                return
+                return  # its control pump parks the session
             if state != "send":
                 if state == "ahead" and self._upstream_quiet():
                     # ahead of everything this relay has seen with the
@@ -746,14 +653,13 @@ class FrameRelay:  # speaks: relay
             # upstream declared [frame_id, gap_end) unrecoverable:
             # re-announce it downstream and jump, instead of burning
             # fetch_timeout once per missing frame
-            if session.skip_gap(frame_id, gap_end) == "closed":
-                self._detach(session, resumable=True)
+            session.skip_gap(frame_id, gap_end)
             return
         meta, payload, waited, pinned = self._obtain(frame_id, session)
         if meta is None:
             if session.is_active() and not self._is_closed():
                 with self._lock:
-                    self.frames_unavailable += 1
+                    self.counters.frames_unavailable += 1
                 session.skip_frame(frame_id)
             return
         try:
@@ -772,13 +678,11 @@ class FrameRelay:  # speaks: relay
                 self.store.unpin(meta.key(frame_id))
         if outcome == "sent":
             with self._lock:
-                self.frames_served += 1
+                self.counters.frames_served += 1
                 if waited:
-                    self.store_waits += 1
+                    self.counters.store_waits += 1
                 else:
-                    self.store_hits += 1
-        elif outcome == "closed":
-            self._detach(session, resumable=True)
+                    self.counters.store_hits += 1
 
     def _obtain(self, frame_id: int, session: RelaySession):
         """``(meta, payload, waited, pinned)`` for ``frame_id``.
@@ -828,57 +732,6 @@ class FrameRelay:  # speaks: relay
                 else:
                     self._want[frame_id] = count
 
-    # -- session control pump ------------------------------------------------
-
-    @staticmethod
-    def _valid_frame_id(value) -> bool:
-        return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-    def _pump(self, session: RelaySession) -> None:  # speaks: relay@downstream
-        """Downstream → relay: acks return credits; seek/leave honored."""
-        while True:
-            try:
-                raw = session.conn.recv(timeout=0.25)
-            except TimeoutError:
-                if self._is_closed() or not session.is_active():
-                    return
-                continue
-            except ConnectionError:
-                self._detach(session, resumable=True)
-                return
-            try:
-                msg = decode_message(raw)
-            except ProtocolError:
-                with self._lock:
-                    self.malformed += 1
-                continue
-            if not isinstance(msg, ControlMessage):
-                with self._lock:
-                    self.malformed += 1
-                continue
-            if msg.tag == "ack":
-                frame_id = msg.params.get("frame_id")
-                if not self._valid_frame_id(frame_id):
-                    with self._lock:
-                        self.malformed += 1
-                    continue
-                session.on_ack(frame_id)
-                self._notify()
-            elif msg.tag == "seek":
-                frame_id = msg.params.get("frame_id", 0)
-                if not self._valid_frame_id(frame_id):
-                    with self._lock:
-                        self.malformed += 1
-                    continue
-                session.on_seek(frame_id, self.max_seen())
-                self._notify()
-            elif msg.tag == "leave":
-                self._detach(session, resumable=False)
-                return
-            else:
-                with self._lock:
-                    self.unknown_controls += 1
-
     # -- shared accessors ----------------------------------------------------
 
     def max_seen(self) -> int:
@@ -899,7 +752,7 @@ class FrameRelay:  # speaks: relay
     def prefetch_hints(self) -> list[int]:
         """Live session cursors worth staging ahead of."""
         with self._lock:
-            sessions = list(self._sessions.values())
+            sessions = self._host.live()
         hints = [s.prefetch_hint() for s in sessions]
         return [h for h in hints if h is not None]
 
@@ -913,7 +766,7 @@ class FrameRelay:  # speaks: relay
 
     def _is_closed(self) -> bool:
         with self._lock:
-            return self._closed
+            return self._host.closed()
 
     def _notify(self) -> None:
         with self._wake:
@@ -923,44 +776,21 @@ class FrameRelay:  # speaks: relay
         with self._wake:
             self._wake.wait(timeout)
 
-    def _spawn(self, target, *args, name: str) -> None:
-        t = threading.Thread(target=target, args=args, daemon=True, name=name)
-        t.start()
-        with self._lock:
-            self._threads.append(t)
-
     # -- observability -------------------------------------------------------
 
     def stats_snapshot(self) -> RelayStats:
-        """All counters in one critical section (the store's and the
-        sessions' own snapshots are taken under their locks, never
-        nested inside this one)."""
+        """All counters, and every session's own snapshot, copied in one
+        critical section (the store's snapshot is taken under its own
+        lock, not nested inside this one)."""
         with self._lock:
-            live = list(self._sessions.values())
-            departed = list(self._departed)
-            counters = dict(
-                frames_served=self.frames_served,
-                store_hits=self.store_hits,
-                store_waits=self.store_waits,
-                frames_unavailable=self.frames_unavailable,
-                origin_frames=self.origin_frames,
-                peer_frames=self.peer_frames,
-                fetch_requests=self.fetch_requests,
-                prefetch_issued=self.prefetch_issued,
-                prefetch_fills=self.prefetch_fills,
-                sessions=len(self._sessions),
-                resumes=self.resumes,
-                upstream_gaps=self.upstream_gaps,
-                upstream_reconnects=self.upstream_reconnects,
-                peer_failovers=self.peer_failovers,
-                malformed=self.malformed,
-                unknown_controls=self.unknown_controls,
-            )
-        snapshots = departed + [s.stats_snapshot() for s in live]
+            counters = dict(vars(self.counters))
+            session_stats = self._host.session_stats()
+            live = len(self._host.live())
         return RelayStats(
             name=self.name,
+            sessions=live,
             store=self.store.stats_snapshot(),
-            session_stats={s.name: s for s in snapshots},
+            session_stats=session_stats,
             **counters,
         )
 
@@ -976,7 +806,7 @@ class FrameRelay:  # speaks: relay
             with self._lock:
                 sessions = [
                     s
-                    for s in self._sessions.values()
+                    for s in self._host.live()
                     if (names is None and not s.pull) or
                     (names is not None and s.name in names)
                 ]
@@ -990,26 +820,15 @@ class FrameRelay:  # speaks: relay
     # -- lifecycle -----------------------------------------------------------
 
     def _shutdown(self, polite: bool) -> None:
+        if not self._host.begin_close():  # sweeps the downstream sessions
+            return
         with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            sessions = list(self._sessions.values())
-            self._sessions.clear()
             peers = list(self._peers.values())
             self._peers.clear()
             upstream_handle = self._upstream_handle
-            threads = list(self._threads)
-            prefetcher = self._prefetcher
         self._closing.set()
-        if prefetcher is not None:
-            prefetcher.stop()
-        for session in sessions:
-            session.deactivate()
-            snapshot = session.stats_snapshot()
-            with self._lock:
-                self._departed.append(snapshot)
-            session.conn.close()
+        if self._prefetcher is not None:
+            self._prefetcher.stop()
         for link in peers:
             if polite:
                 link.handle.leave()
@@ -1020,8 +839,7 @@ class FrameRelay:  # speaks: relay
         else:
             upstream_handle.conn.close()
         self._notify()
-        for t in threads:
-            t.join(timeout=5.0)
+        self._host.finish_close()
 
     def close(self) -> None:
         """Graceful shutdown: polite leaves on every link."""

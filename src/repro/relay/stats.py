@@ -15,16 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.serve.cache import CacheStats
-from repro.serve.stats import SessionStats
+from repro.serve.stats import HostCounters, SessionStats
 
-__all__ = ["RelayStats"]
+__all__ = ["RelayCounters", "RelayStats"]
 
 
-@dataclass(frozen=True)
-class RelayStats:
-    """An atomic snapshot of one relay's counters."""
+@dataclass
+class RelayCounters(HostCounters):
+    """One relay's live counters, each named here and nowhere else: the
+    relay (and its session host, for the inherited three) bumps them
+    under the relay lock; a snapshot copies the record once.
+    ``malformed`` and ``unknown_controls`` cover every relay link —
+    upstream, peer and downstream."""
 
-    name: str
     #: frames delivered to local downstream sessions (viewers + peers)
     frames_served: int = 0
     #: of those, served straight from the local store (no wait)
@@ -43,11 +46,6 @@ class RelayStats:
     prefetch_issued: int = 0
     #: ingested frames the prefetcher had requested ahead of any player
     prefetch_fills: int = 0
-    #: live downstream sessions at snapshot time
-    sessions: int = 0
-    #: downstream sessions that rejoined (same relay) or resumed from a
-    #: peer's cursor (``resume_from``)
-    resumes: int = 0
     #: gap announcements absorbed from upstream (resume past the
     #: broker's retained window); players skip the ranges they cover
     upstream_gaps: int = 0
@@ -55,10 +53,16 @@ class RelayStats:
     upstream_reconnects: int = 0
     #: fetches re-routed to the origin because the owning peer was dead
     peer_failovers: int = 0
-    #: undecodable / non-protocol traffic dropped from relay links
-    malformed: int = 0
-    #: well-formed controls the relay has no handler for
-    unknown_controls: int = 0
+
+
+@dataclass(kw_only=True)
+class RelayStats(RelayCounters):
+    """An atomic snapshot of one relay: a copy of its counters plus
+    what was live at that moment."""
+
+    name: str
+    #: live downstream sessions at snapshot time
+    sessions: int = 0
     #: the content-addressed store's own atomic snapshot
     store: CacheStats | None = None
     #: per-downstream-session delivery counters

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -30,8 +31,9 @@ from repro.net.faults import FaultPlan
 from repro.relay.daemon import RELAY_RETRY, FrameRelay
 from repro.relay.prefetch import PrefetchPolicy
 from repro.relay.ring import RelayRing
+from repro.relay.stats import RelayCounters
 from repro.serve.broker import SessionBroker
-from repro.serve.session import FrameDecodeError
+from repro.serve.session import FrameDecodeError, rejoin
 from repro.serve.shard import SessionRouter
 from repro.serve.tiers import TierLadder
 
@@ -82,7 +84,7 @@ class Viewer:
     on ``targets[at]``.  Every link it joins over obeys ``plan``; when
     one is cut the viewer rejoins under its own name with
     ``resume_from`` = the next id it needs, rotating to the next target
-    when one is closed (see :meth:`_rejoin`).
+    when one is closed (:func:`repro.serve.session.rejoin`).
 
     ``decode=False`` makes it a pure load generator: it acks every
     delivery but never decompresses.  Scenarios keep a fixed handful of
@@ -134,7 +136,7 @@ class Viewer:
         self._lock = threading.Lock()
         self._receipts: list[tuple[int, float]] = []  # guarded-by: _lock
         self._stop = threading.Event()
-        self.handle = self._join(plan, None)
+        self.handle = self._join(self.targets[self.at], plan, None)
         try:
             self.thread = threading.Thread(
                 target=self._run, daemon=True, name=f"{name}-viewer"
@@ -150,8 +152,8 @@ class Viewer:
     def done(self) -> bool:
         return self.n_frames is not None and self.loops_done >= self.loops
 
-    def _join(self, plan: FaultPlan | None, resume_from: int | None):
-        return self.targets[self.at].join(
+    def _join(self, target, plan: FaultPlan | None, resume_from: int | None):
+        return target.join(
             self.name,
             fault_plan=plan,
             retry=RELAY_RETRY,
@@ -163,36 +165,21 @@ class Viewer:
         """Re-establish the session somewhere, resuming at exactly the
         next needed id; returns False when giving up."""
         self.gap_ranges.extend(self.handle.gaps)
-        # the session died with the link, but the viewer-side channel fd
-        # lives until closed; leave() would tear down the parked resume
-        # state of a target that is merely wedged, so close just the
-        # transport
-        self.handle.conn.close()
-        first = self.at
         plan = self.plan.reconnected() if self.plan else None
-        deadline = time.monotonic() + 5.0
-        while not self._stop.is_set() and time.monotonic() < deadline:
-            try:
-                self.handle = self._join(plan, self.expected)
-            except ValueError:
-                # the target has not reaped the dead session yet; wait
-                # on the stop event so shutdown interrupts the retry
-                self._stop.wait(0.005)
-                continue
-            except RuntimeError:
-                # this target is closed: rotate to the next one
-                self.at = (self.at + 1) % len(self.targets)
-                if self.at == first:
-                    if len(self.targets) == 1:
-                        return False  # nowhere else to go
-                    # every target refused in turn: one may yet come
-                    # back, but do not spin through the ring
-                    self._stop.wait(0.01)
-                continue
-            if self.at != first:
-                self.failovers += 1
-            return True
-        return False
+        joined = rejoin(
+            self.handle,
+            self.targets,
+            self.at,
+            self._stop,
+            lambda target: self._join(target, plan, self.expected),
+        )
+        if joined is None:
+            return False
+        self.handle, at = joined
+        if at != self.at:
+            self.failovers += 1
+            self.at = at
+        return True
 
     def _on_frame(self, frame_id: int) -> None:
         if frame_id < self.expected:
@@ -630,6 +617,11 @@ def sweep_faults(
 
 # -- relay topologies: origin → relay mesh → viewer pools --------------------
 
+#: relay counters the topology report leaves to ``summaries``
+_UNREPORTED_RELAY_COUNTERS = frozenset(
+    {"malformed", "unknown_controls", "fetch_requests", "upstream_gaps"}
+)
+
 
 def run_relay_topology(
     *,
@@ -763,18 +755,12 @@ def run_relay_topology(
         "offload_ratio": round(offload, 4),
         "relays": {
             s.name: {
-                "frames_served": s.frames_served,
-                "origin_frames": s.origin_frames,
-                "peer_frames": s.peer_frames,
                 "offload_ratio": round(s.offload_ratio, 4),
-                "store_hits": s.store_hits,
-                "store_waits": s.store_waits,
-                "frames_unavailable": s.frames_unavailable,
-                "prefetch_issued": s.prefetch_issued,
-                "prefetch_fills": s.prefetch_fills,
-                "resumes": s.resumes,
-                "upstream_reconnects": s.upstream_reconnects,
-                "peer_failovers": s.peer_failovers,
+                **{
+                    f.name: getattr(s, f.name)
+                    for f in fields(RelayCounters)
+                    if f.name not in _UNREPORTED_RELAY_COUNTERS
+                },
             }
             for s in relay_snaps
         },

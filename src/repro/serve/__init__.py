@@ -1,10 +1,13 @@
 """The serving layer: one renderer stream, many adaptive viewers.
 
 A new subsystem layered over the §4.1 daemon/transport stack for the
-"many viewers over a WAN" regime.  Four pieces:
+"many viewers over a WAN" regime.  The pieces:
 
-- :class:`~repro.serve.broker.SessionBroker` — viewer membership
-  (join/leave/seek) and fan-out publishing;
+- :class:`~repro.serve.broker.SessionBroker` — fan-out publishing and
+  history replay (seek, resume);
+- :class:`~repro.serve.host.SessionHost` — viewer membership, once for
+  the broker and the edge relay: admission, the per-session control
+  pump, park-and-resume across an unclean cut, the close sweep;
 - :class:`~repro.serve.cache.FrameCache` — content-addressed encoded
   frames keyed ``(frame_id, codec, quality)`` with LRU + byte-budget
   eviction, so one encode serves every viewer at a tier;
@@ -28,19 +31,23 @@ fault grid) live above both tiers in :mod:`repro.scenario`.
 from repro.serve.broker import SessionBroker
 from repro.serve.cache import FrameCache
 from repro.serve.encode_pool import EncodeFailed, EncodePool
+from repro.serve.host import SessionHost
 from repro.serve.shard import SessionRouter, shard_for
 from repro.serve.session import (
     AdaptiveQualityController,
     FrameDecodeError,
     ServedFrame,
+    Session,
     ViewerHandle,
     ViewerSession,
+    rejoin,
 )
 from repro.serve.stats import ServeStats, SessionStats, TierTransition
 from repro.serve.tiers import QualityTier, TierLadder, default_ladder
 
 __all__ = [
     "SessionBroker",
+    "SessionHost",
     "SessionRouter",
     "shard_for",
     "EncodePool",
@@ -50,8 +57,10 @@ __all__ = [
     "TierLadder",
     "default_ladder",
     "AdaptiveQualityController",
+    "Session",
     "ViewerSession",
     "ViewerHandle",
+    "rejoin",
     "ServedFrame",
     "FrameDecodeError",
     "ServeStats",

@@ -9,7 +9,10 @@ once per quality tier *in use* — through the shared content-addressed
 under credit-based backpressure, so total encode work is a function of
 the tier mix, never of the viewer count.
 
-Viewers join and leave at any time; a ``seek`` control replays the
+Viewers join and leave at any time — membership, the per-session
+control pump and park-and-resume are the
+:class:`~repro.serve.host.SessionHost`'s, shared with the edge relay;
+what the broker plugs in is *replay*.  A ``seek`` control replays the
 broker's recent raw-frame history from the requested frame id at the
 session's current tier (replays of cached tiers are pure cache hits).
 
@@ -19,6 +22,8 @@ rejoin under the same name continues the same logical session — the
 cumulative stats, the adaptive tier, and the stream position survive,
 and the broker replays its buffered history from the viewer's last
 acked frame so the resumed stream has no duplicated or skipped ids.
+A client that brings ``resume_from`` gets the same replay whether or
+not this broker has seen its name before.
 """
 
 from __future__ import annotations
@@ -32,21 +37,17 @@ import numpy as np
 from repro.compress import Codec
 from repro.compress.context import CodecContext
 from repro.devtools.guards import guarded_by
-from repro.daemon.protocol import (
-    ControlMessage,
-    FrameMessage,
-    ProtocolError,
-    decode_message,
-)
-from repro.net.faults import FaultPlan, FaultyConnection
-from repro.net.transport import ChannelClosed, FramedConnection, RetryPolicy
+from repro.daemon.protocol import FrameMessage
+from repro.net.faults import FaultPlan
+from repro.net.transport import RetryPolicy
 from repro.serve.cache import FrameCache
+from repro.serve.host import SessionHost
 from repro.serve.session import (
     AdaptiveQualityController,
     ViewerHandle,
     ViewerSession,
 )
-from repro.serve.stats import ServeStats, SessionStats
+from repro.serve.stats import ServeCounters, ServeStats
 from repro.serve.tiers import QualityTier, TierLadder, default_ladder
 
 __all__ = ["SessionBroker"]
@@ -97,36 +98,26 @@ class SessionBroker:  # speaks: broker
         self.history_frames = history_frames
         self._lock = threading.Lock()
         self._encode_lock = threading.Lock()
-        self._sessions: dict[str, ViewerSession] = {}  # guarded-by: _lock
-        self._departed: list[SessionStats] = []  # guarded-by: _lock
-        #: (stats, tier_index, last_acked) of unclean disconnects, by
-        #: name — consumed when the same name rejoins
-        self._resume: dict[str, tuple[SessionStats, int, int]] = {}  # guarded-by: _lock
         self._encoders: dict[tuple[str, int | None], Codec] = {}  # guarded-by: _encode_lock
         self._encoder_context = CodecContext()
         self._history: OrderedDict[int, tuple[int, np.ndarray]] = OrderedDict()  # guarded-by: _lock
-        self._threads: list[threading.Thread] = []  # guarded-by: _lock
         #: wakes drain() on ack arrival, session departure, and close
         self._ack_cond = threading.Condition()
-        self._closed = False  # guarded-by: _lock
-        self._session_counter = 0  # guarded-by: _lock
         self._frame_counter = 0  # guarded-by: _lock
-        self.frames_published = 0  # guarded-by: _lock
+        self.counters = ServeCounters()  # guarded-by: _lock
         #: encode invocations — with a warm cache this stays at
         #: (frames × tiers in use), independent of viewer count
         self.encodes = 0  # guarded-by: _encode_lock
-        #: control messages dropped for being malformed
-        self.malformed_controls = 0  # guarded-by: _lock
-        #: well-formed controls whose tag is not a broker opcode
-        self.unknown_controls = 0  # guarded-by: _lock
-        #: sessions resumed after an unclean disconnect
-        self.resumes = 0  # guarded-by: _lock
-        #: resumes whose start point fell off the retained history
-        #: window — the viewer was sent an explicit ``gap`` signal
-        self.resume_gaps = 0  # guarded-by: _lock
-        #: pool encodes that fell back to the calling thread (pool
-        #: closed or timed out underneath a cold fill)
-        self.encode_pool_fallbacks = 0  # guarded-by: _encode_lock
+        #: who is joined, their control pumps, what a rejoin resumes
+        #: from — under this broker's lock
+        self._host = SessionHost(
+            name,
+            self._lock,
+            self.counters,
+            seek=self._replay,
+            admitted=self._replay_resume,
+            changed=self._notify_drain,
+        )
 
     # -- membership ---------------------------------------------------------
 
@@ -146,7 +137,9 @@ class SessionBroker:  # speaks: broker
         and buffered history is replayed from its last acked frame (or
         from ``resume_from``, the rejoining client's own idea of the
         next frame it needs — authoritative when acks were lost in
-        flight).  ``fault_plan`` wraps the broker side of the link in a
+        flight, and a resume by itself for a name never seen here: a
+        viewer rotating in from another broker).  ``fault_plan`` wraps
+        the broker side of the link in a
         :class:`~repro.net.faults.FaultyConnection` so the session is
         served over a WAN-shaped link.
 
@@ -158,28 +151,10 @@ class SessionBroker:  # speaks: broker
         that reconnects after a WAN cut has its buffered history
         replayed exactly like any viewer.
         """
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("join() on a closed SessionBroker")
-            if name is None:
-                name = f"viewer{self._session_counter}"
-            self._session_counter += 1
-            existing = self._sessions.get(name)
-            if existing is not None:
-                if existing.is_active():
-                    raise ValueError(f"session {name!r} already joined")
-                # an unclean disconnect the pump has not reaped yet
-                self._sessions.pop(name)
-                self._resume.setdefault(name, existing.resume_state())
-            resume = self._resume.pop(name, None)
-            broker_side, viewer_side = FramedConnection.pair(
-                f"{name}-broker", f"{name}-viewer"
-            )
-            conn = broker_side
-            if fault_plan is not None:
-                conn = FaultyConnection(broker_side, fault_plan, retry=retry)
-            context = CodecContext()
-            session = ViewerSession(
+        context = CodecContext()
+
+        def make(name: str, conn) -> ViewerSession:
+            return ViewerSession(
                 name,
                 conn,
                 self.ladder,
@@ -189,65 +164,21 @@ class SessionBroker:  # speaks: broker
                 ),
                 codec_context=context,
             )
-            if resume is not None:
-                stats, tier_index, last_acked = resume
-                start = last_acked + 1 if resume_from is None else resume_from
-                session.restore(
-                    stats=stats, tier_index=tier_index, last_acked=start - 1
-                )
-                self.resumes += 1
-            self._sessions[name] = session
-            if resume is not None:
-                # replay under the lock: a concurrent publish can only
-                # deliver *after* the resumed stream has caught up, so
-                # the viewer sees history and live frames in order
-                self._replay_resume(session, session.cursor())
-            t = threading.Thread(
-                target=self._pump_session, args=(session,), daemon=True
-            )
-            t.start()
-            self._threads.append(t)
-        return ViewerHandle(
-            name, viewer_side, context, resumed=resume is not None
-        )
 
-    def leave(
-        self,
-        name: str,
-        *,
-        resumable: bool = False,
-        _expected: ViewerSession | None = None,
-    ) -> None:
+        return self._host.admit(name, make, context, fault_plan=fault_plan,
+                                retry=retry, resume_from=resume_from)
+
+    def leave(self, name: str, *, resumable: bool = False) -> None:
         """Detach a session broker-side (viewers normally send ``leave``).
 
         ``resumable`` marks an *unclean* departure — a dead connection
         rather than a polite leave — whose state is parked so a rejoin
-        under the same name continues the stream.  ``_expected`` guards
-        internal callers reacting to a dead connection: a stale pump or
-        delivery thread must not reap a *replacement* session that has
-        since resumed under the same name.
+        under the same name continues the stream.
         """
-        with self._lock:
-            session = self._sessions.get(name)
-            if session is None or (
-                _expected is not None and session is not _expected
-            ):
-                return
-            self._sessions.pop(name)
-        session.deactivate()
-        snapshot = session.stats_snapshot()
-        with self._lock:
-            self._departed.append(snapshot)
-            if resumable:
-                self._resume.setdefault(name, session.resume_state())
-            else:
-                self._resume.pop(name, None)
-        session.conn.close()
-        self._notify_drain()
+        self._host.leave(name, resumable)
 
     def sessions(self) -> list[str]:
-        with self._lock:
-            return sorted(self._sessions)
+        return self._host.names()
 
     # -- publishing ---------------------------------------------------------
 
@@ -263,7 +194,7 @@ class SessionBroker:  # speaks: broker
         frame (and their controller may demote them).
         """
         with self._lock:
-            if self._closed:
+            if self._host.closed():
                 raise RuntimeError("publish() on a closed SessionBroker")
             if frame_id is None:
                 frame_id = self._frame_counter
@@ -271,8 +202,8 @@ class SessionBroker:  # speaks: broker
             self._history[frame_id] = (time_step, image)
             while len(self._history) > self.history_frames:
                 self._history.popitem(last=False)
-            sessions = list(self._sessions.values())
-            self.frames_published += 1
+            sessions = self._host.live()
+            self.counters.frames_published += 1
         for session in sessions:
             self._deliver(session, frame_id, time_step, image, from_publish=True)
         return frame_id
@@ -300,10 +231,9 @@ class SessionBroker:  # speaks: broker
             image_shape=(image.shape[0], image.shape[1]),
             quality=tier.quality,
         )
-        outcome = session.offer(msg)
-        if outcome == "closed":
-            self.leave(session.name, resumable=True, _expected=session)
-        return outcome
+        # a dead link needs no handling here: the session closed its
+        # connection, which wakes the host's pump to park it
+        return session.offer(msg)
 
     def _payload(
         self, frame_id: int, tier: QualityTier, image: np.ndarray
@@ -327,8 +257,6 @@ class SessionBroker:  # speaks: broker
                     image, tier.codec, tier.quality, key=key
                 )
             except RuntimeError:  # pool closed underneath us: go inline
-                with self._encode_lock:
-                    self.encode_pool_fallbacks += 1
                 return encode_inline()
             with self._encode_lock:
                 self.encodes += 1
@@ -346,76 +274,32 @@ class SessionBroker:  # speaks: broker
             self._encoders[key] = codec
         return codec
 
-    # -- session control pump ----------------------------------------------
+    # -- history replay (the session host's seek and admission hooks) -------
 
-    @staticmethod
-    def _valid_frame_id(value) -> bool:
-        return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-    def _note_malformed(self) -> None:
-        with self._lock:
-            self.malformed_controls += 1
-
-    def _pump_session(self, session: ViewerSession) -> None:  # speaks: broker@serving
-        """Viewer → broker: acks return credits; seek/leave are honored.
-
-        Malformed traffic — undecodable frames, non-control messages,
-        controls with a missing or bogus ``frame_id`` — is dropped and
-        counted, never fed into the credit machinery.
-        """
-        while True:
-            try:
-                raw = session.conn.recv()
-            except (ChannelClosed, TimeoutError):
-                self.leave(session.name, resumable=True, _expected=session)
-                return
-            try:
-                msg = decode_message(raw)
-            except ProtocolError:
-                self._note_malformed()
-                continue
-            if not isinstance(msg, ControlMessage):
-                self._note_malformed()
-                continue
-            if msg.tag == "ack":
-                frame_id = msg.params.get("frame_id")
-                if not self._valid_frame_id(frame_id):
-                    self._note_malformed()
-                    continue
-                session.on_ack(frame_id)
-                self._notify_drain()
-            elif msg.tag == "seek":
-                frame_id = msg.params.get("frame_id", 0)
-                if not self._valid_frame_id(frame_id):
-                    self._note_malformed()
-                    continue
-                self._replay(session, frame_id)
-            elif msg.tag == "leave":
-                self.leave(session.name, _expected=session)
-                return
-            else:
-                # a well-formed control the broker has no handler for:
-                # counted so a version-skewed viewer is visible in stats
-                with self._lock:
-                    self.unknown_controls += 1
+    @guarded_by("_lock")
+    def _history_from(self, from_frame: int) -> list[tuple[int, int, np.ndarray]]:
+        return [
+            (fid, ts, img)
+            for fid, (ts, img) in self._history.items()
+            if fid >= from_frame
+        ]
 
     def _replay(self, session: ViewerSession, from_frame: int) -> None:
         """Re-deliver buffered history from ``from_frame`` (cache-served)."""
         with self._lock:
-            window = [
-                (fid, ts, img)
-                for fid, (ts, img) in self._history.items()
-                if fid >= from_frame
-            ]
+            window = self._history_from(from_frame)
         for fid, ts, img in window:
             self._deliver(session, fid, ts, img)
 
     @guarded_by("_lock")
-    def _replay_resume(self, session: ViewerSession, from_frame: int) -> None:  # speaks: broker@resuming
-        """Resume replay; caller holds ``self._lock``.
+    def _replay_resume(self, session: ViewerSession, from_frame: int | None) -> None:  # speaks: broker@resuming
+        """Resume replay, run by the host as the session is admitted —
+        still under ``self._lock``, so a concurrent publish can only
+        deliver *after* the resumed stream has caught up and the viewer
+        sees history and live frames in order.  ``from_frame`` is
+        ``None`` for a fresh join, which replays nothing.
 
-        Inlines delivery (no :meth:`leave` — that needs the lock) and
-        arms the session's resume guard with every replayed id so a
+        Arms the session's resume guard with every replayed id so a
         publish racing the rejoin cannot deliver one of them twice.
 
         A resume point that fell off the retained history window gets
@@ -424,42 +308,21 @@ class SessionBroker:  # speaks: broker
         guarantee only holds inside the window, and the viewer must be
         able to tell "nothing was published" from "history was lost".
         """
-        window = [
-            (fid, ts, img)
-            for fid, (ts, img) in self._history.items()
-            if fid >= from_frame
-        ]
+        if from_frame is None:
+            return
+        window = self._history_from(from_frame)
         replay_start = min(
             (fid for fid, _, _ in window), default=self._frame_counter
         )
         if from_frame < replay_start:
-            self.resume_gaps += 1
-            try:
-                session.conn.send(
-                    ControlMessage(
-                        tag="gap",
-                        params={"from": from_frame, "to": replay_start},
-                    ).encode()
-                )
-            except ChannelClosed:
+            self.counters.resume_gaps += 1
+            if not session.send_control(
+                "gap", {"from": from_frame, "to": replay_start}
+            ):
                 return
         session.arm_resume_guard(fid for fid, _, _ in window)
         for fid, ts, img in window:
-            tier = self.ladder[session.current_tier_index()]
-            if not tier.admits(fid):
-                session.mark_skipped()
-                continue
-            payload = self._payload(fid, tier, img)
-            session.offer(
-                FrameMessage(
-                    frame_id=fid,
-                    time_step=ts,
-                    codec=tier.codec,
-                    payload=payload,
-                    image_shape=(img.shape[0], img.shape[1]),
-                    quality=tier.quality,
-                )
-            )
+            self._deliver(session, fid, ts, img)
 
     def _notify_drain(self) -> None:
         with self._ack_cond:
@@ -472,29 +335,21 @@ class SessionBroker:  # speaks: broker
         # each group of counters is copied under the lock its writers
         # hold, so nothing in the snapshot is a torn read
         with self._lock:
-            live = [s.stats_snapshot() for s in self._sessions.values()]
-            departed = list(self._departed)
-            frames_published = self.frames_published
-            malformed = self.malformed_controls
-            unknown = self.unknown_controls
-            resumes = self.resumes
-            resume_gaps = self.resume_gaps
+            sessions = self._host.session_stats()
+            counters = dict(vars(self.counters))
+        counters["malformed_controls"] = counters.pop("malformed")
         with self._encode_lock:
             encodes = self.encodes
         cache = self.cache.stats_snapshot()
         return ServeStats(
-            sessions={s.name: s for s in departed + live},
-            frames_published=frames_published,
+            sessions=sessions,
             encodes=encodes,
             cache_hits=cache.hits,
             cache_misses=cache.misses,
             cache_evictions=cache.evictions,
             cache_bytes=cache.current_bytes,
             cache_entries=cache.entries,
-            malformed_controls=malformed,
-            unknown_controls=unknown,
-            resumes=resumes,
-            resume_gaps=resume_gaps,
+            **counters,
         )
 
     def drain(self, timeout: float = 5.0, names: list[str] | None = None) -> bool:
@@ -516,7 +371,7 @@ class SessionBroker:  # speaks: broker
             with self._lock:
                 pending = [
                     s
-                    for s in self._sessions.values()
+                    for s in self._host.live()
                     if names is None or s.name in names
                 ]
             while True:
@@ -531,22 +386,8 @@ class SessionBroker:  # speaks: broker
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            sessions = list(self._sessions.values())
-            self._sessions.clear()
-            threads = list(self._threads)
-        for session in sessions:
-            session.deactivate()
-            snapshot = session.stats_snapshot()
-            with self._lock:
-                self._departed.append(snapshot)
-            session.conn.close()
-        self._notify_drain()
-        for t in threads:
-            t.join(timeout=5.0)
+        if self._host.begin_close():
+            self._host.finish_close()
 
     def __enter__(self) -> "SessionBroker":
         return self

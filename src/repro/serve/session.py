@@ -1,19 +1,25 @@
-"""Per-viewer session state: credits, adaptive tier, and the viewer handle.
+"""Per-consumer session state: credits, adaptive tier, the viewer handle
+and the one rejoin policy.
 
-Delivery is credit-based, not blind broadcast: a session may have at most
-``credit_limit`` frames in flight; each frame the viewer consumes returns
-one credit as an ``ack`` control message.  A session out of credits
-*drops* the frame immediately (the publisher never blocks on a slow
-viewer), and the :class:`AdaptiveQualityController` watches those drops
-and the ack drain rate to walk the session along the tier ladder —
-congestion steps it toward cheaper tiers, a sustained clean streak steps
-it back up.
+Delivery is credit-based, not blind broadcast: a :class:`Session` may
+have at most ``credit_limit`` frames in flight; each frame the viewer
+consumes returns one credit as an ``ack`` control message.  At the
+origin a :class:`ViewerSession` out of credits *drops* the frame
+immediately (the publisher never blocks on a slow viewer), and the
+:class:`AdaptiveQualityController` watches those drops and the ack
+drain rate to walk the session along the tier ladder — congestion steps
+it toward cheaper tiers, a sustained clean streak steps it back up.
+
+The client side is :class:`ViewerHandle`, and :func:`rejoin` is how any
+client — a scenario viewer with a pool of relays, a relay with its one
+upstream — gets a new handle after its link was cut.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,6 +29,7 @@ from repro.devtools.guards import guarded_by
 from repro.daemon.protocol import (
     ControlMessage,
     FrameMessage,
+    Message,
     ProtocolError,
     decode_message,
 )
@@ -32,10 +39,12 @@ from repro.serve.tiers import TierLadder
 
 __all__ = [
     "AdaptiveQualityController",
+    "Session",
     "ViewerSession",
     "ViewerHandle",
     "ServedFrame",
     "FrameDecodeError",
+    "rejoin",
 ]
 
 
@@ -85,8 +94,116 @@ class AdaptiveQualityController:
         return 0
 
 
-class ViewerSession:  # speaks: broker
-    """Broker-side record of one connected viewer."""
+class Session:
+    """Host-side record of one downstream consumer — the part the origin
+    broker and the edge relay share: the connection, the credit window
+    (``in_flight`` against ``credit_limit``), the highest acked id, and
+    the cumulative :class:`SessionStats` that survive a reconnect.
+
+    What the tiers do *not* share is delivery policy, which the two
+    subclasses add: :class:`ViewerSession` drops on no credit and adapts
+    the tier, :class:`repro.relay.daemon.RelaySession` waits.
+
+    Invariant: an inactive session's connection is closed — whether
+    the host retired it (:meth:`deactivate`) or :meth:`_send` found the
+    link dead.  Closing is what wakes the host's control pump, blocked
+    in ``recv``, to park the session.
+    """
+
+    def __init__(self, name: str, conn: FramedConnection, credit_limit: int,
+                 *, tier: str, start: int = 0):
+        if credit_limit < 1:
+            raise ValueError("credit_limit must be >= 1")
+        self.name = name
+        self.conn = conn
+        self.credit_limit = credit_limit
+        self._lock = threading.Lock()
+        self.active = True  # guarded-by: _lock
+        self.in_flight = 0  # guarded-by: _lock
+        #: highest frame id the consumer has acknowledged
+        self.last_acked = start - 1  # guarded-by: _lock
+        self._stats = SessionStats(name=name, tier=tier)  # guarded-by: _lock
+
+    # -- the wire ------------------------------------------------------------
+
+    @guarded_by("_lock")
+    def _send(self, msg: Message) -> bool:
+        """Put one message on the wire; False when the link is gone (the
+        one place a session send is allowed to fail)."""
+        if not self.active:
+            return False
+        try:
+            self.conn.send(msg.encode())
+        except ChannelClosed:
+            self._deactivate()
+            return False
+        return True
+
+    @guarded_by("_lock")
+    def _send_frame(self, msg: FrameMessage) -> bool:
+        """:meth:`_send` plus the credit and byte accounting."""
+        if not self._send(msg):
+            return False
+        self.in_flight += 1
+        self._stats.frames_sent += 1
+        self._stats.bytes_sent += len(msg.payload)
+        return True
+
+    def send_control(self, tag: str, params: dict) -> bool:
+        """Send one control message; False when the link is gone."""
+        with self._lock:
+            return self._send(ControlMessage(tag=tag, params=params))
+
+    def on_ack(self, frame_id: int) -> None:
+        """A credit came back: the consumer took ``frame_id``."""
+        with self._lock:
+            self.in_flight = max(0, self.in_flight - 1)
+            self.last_acked = max(self.last_acked, frame_id)
+            self._stats.acks += 1
+
+    # -- lifecycle (driven by the session host) ------------------------------
+
+    def restore(self, start: int, stats: SessionStats | None = None) -> None:
+        """Continue an earlier stream at frame ``start``.  ``stats`` are
+        the cumulative counters parked when this name last lost its
+        link; ``None`` when only the client remembers the stream (it
+        rejoined a host that never saw it)."""
+        with self._lock:
+            if stats is not None:
+                stats.active = True
+                stats.reconnects += 1
+                self._stats = stats
+            self.last_acked = start - 1
+
+    @guarded_by("_lock")
+    def _deactivate(self) -> None:
+        self.active = False
+        self._stats.active = False
+        self.conn.close()
+
+    def deactivate(self) -> None:
+        """Stop delivering and close the connection."""
+        with self._lock:
+            self._deactivate()
+
+    def is_active(self) -> bool:
+        with self._lock:
+            return self.active
+
+    def resume_state(self) -> tuple[SessionStats, int]:
+        """``(stats, next frame id the consumer needs)`` read in one
+        critical section, for parking an uncleanly-departed session."""
+        with self._lock:
+            return self._stats, self.last_acked + 1
+
+    def stats_snapshot(self) -> SessionStats:
+        with self._lock:
+            return self._stats.copy(active=self.active)
+
+
+class ViewerSession(Session):  # speaks: broker
+    """Broker-side session: drops a frame when the viewer is out of
+    credits, and lets the drops and acks walk it along the tier ladder."""
 
     def __init__(
         self,
@@ -97,42 +214,24 @@ class ViewerSession:  # speaks: broker
         controller: AdaptiveQualityController | None = None,
         codec_context: CodecContext | None = None,
     ):
-        if credit_limit < 1:
-            raise ValueError("credit_limit must be >= 1")
-        self.name = name
-        self.conn = conn
+        super().__init__(name, conn, credit_limit, tier=ladder[0].name)
         self.ladder = ladder
-        self.credit_limit = credit_limit
         self.controller = controller or AdaptiveQualityController()
         #: the decode-side context shared with this session's ViewerHandle
         self.codec_context = codec_context or CodecContext()
-        self._lock = threading.Lock()
         self.tier_index = 0  # guarded-by: _lock
-        self.in_flight = 0  # guarded-by: _lock
-        self.active = True  # guarded-by: _lock
-        #: resume point for seek(): next frame id the viewer wants
-        self.position = 0  # guarded-by: _lock
-        #: highest frame id the viewer has acknowledged consuming
-        self.last_acked = -1  # guarded-by: _lock
         #: frame ids replayed at resume time; a concurrent publish of
         #: one of these is a duplicate and must be suppressed (one-shot)
         self._resume_guard: set[int] = set()  # guarded-by: _lock
-        self._stats = SessionStats(name=name, tier=ladder[0].name)  # guarded-by: _lock
 
     # -- reconnect/resume ----------------------------------------------------
 
-    def restore(self, *, stats: SessionStats, tier_index: int,
-                last_acked: int) -> None:
-        """Carry state across a reconnect of the same logical viewer:
-        cumulative counters, the adaptive tier, and the resume cursor."""
-        with self._lock:
-            stats.active = True
-            stats.reconnects += 1
-            self._stats = stats
-            self.tier_index = self.ladder.clamp(tier_index)
-            self._stats.tier = self.ladder[self.tier_index].name
-            self.last_acked = last_acked
-            self.position = last_acked + 1
+    def restore(self, start: int, stats: SessionStats | None = None) -> None:
+        """Also carries the adaptive tier across the reconnect."""
+        super().restore(start, stats)
+        if stats is not None:
+            with self._lock:
+                self.tier_index = self.ladder.index_of(stats.tier)
 
     def arm_resume_guard(self, frame_ids) -> None:
         """Mark ``frame_ids`` as covered by the resume replay."""
@@ -170,17 +269,7 @@ class ViewerSession:  # speaks: broker
                 self._apply_delta(self.controller.on_dropped(), msg.frame_id,
                                   "congestion")
                 return "dropped"
-            try:
-                self.conn.send(msg.encode())
-            except ChannelClosed:
-                self.active = False
-                self._stats.active = False
-                return "closed"
-            self.in_flight += 1
-            self._stats.frames_sent += 1
-            self._stats.bytes_sent += len(msg.payload)
-            self.position = msg.frame_id + 1
-            return "sent"
+            return "sent" if self._send_frame(msg) else "closed"
 
     def mark_skipped(self) -> None:
         """Count a stride-filtered frame (deliberate, not congestion)."""
@@ -188,11 +277,9 @@ class ViewerSession:  # speaks: broker
             self._stats.frames_skipped += 1
 
     def on_ack(self, frame_id: int) -> None:
-        """A credit came back: the viewer consumed ``frame_id``."""
+        """The returned credit also feeds the adaptive controller."""
+        super().on_ack(frame_id)
         with self._lock:
-            self.in_flight = max(0, self.in_flight - 1)
-            self.last_acked = max(self.last_acked, frame_id)
-            self._stats.acks += 1
             self._apply_delta(self.controller.on_ack(), frame_id, "recovered")
 
     @guarded_by("_lock")
@@ -210,52 +297,26 @@ class ViewerSession:  # speaks: broker
             TierTransition(frame_id=frame_id, from_tier=old, to_tier=new,
                            reason=reason)
         )
-        try:  # tell the viewer which tier it is watching now
-            self.conn.send(
-                ControlMessage(tag="tier", params={"tier": new, "reason": reason})
-                .encode()
-            )
-        except ChannelClosed:
-            self.active = False
-            self._stats.active = False
-
-    def deactivate(self) -> None:
-        with self._lock:
-            self.active = False
-            self._stats.active = False
+        # tell the viewer which tier it is watching now
+        self._send(ControlMessage(tag="tier",
+                                  params={"tier": new, "reason": reason}))
 
     # -- locked accessors (the broker reads these cross-thread) -------------
-
-    def is_active(self) -> bool:
-        with self._lock:
-            return self.active
 
     def current_tier_index(self) -> int:
         with self._lock:
             return self.tier_index
-
-    def cursor(self) -> int:
-        """Next frame id the viewer wants (the seek/resume point)."""
-        with self._lock:
-            return self.position
 
     def idle(self) -> bool:
         """True when nothing is in flight (or the session is gone)."""
         with self._lock:
             return self.in_flight == 0 or not self.active
 
-    def resume_state(self) -> tuple[SessionStats, int, int]:
-        """``(stats, tier_index, last_acked)`` read in one critical
-        section, for parking an uncleanly-departed session."""
-        with self._lock:
-            return self._stats, self.tier_index, self.last_acked
-
     def stats_snapshot(self) -> SessionStats:
-        with self._lock:
-            return self._stats.copy(
-                decode_context_hit_ratio=self.codec_context.hit_ratio(),
-                active=self.active,
-            )
+        return replace(
+            super().stats_snapshot(),
+            decode_context_hit_ratio=self.codec_context.hit_ratio(),
+        )
 
 
 @dataclass(frozen=True)
@@ -398,3 +459,39 @@ class ViewerHandle:  # speaks: client
 
     def __exit__(self, *exc) -> None:
         self.leave()
+
+
+def rejoin(stale: ViewerHandle, targets, at: int, stop: threading.Event,
+           join, timeout: float = 5.0):
+    """The one rejoin policy: after a cut link, get a new handle from
+    ``targets[at]`` or, failing that, from the next target that is open.
+
+    ``join(target)`` makes one attempt (the caller binds its name, its
+    fault plan and ``resume_from`` = the next frame id it needs).
+    Returns ``(handle, at)`` — ``at`` differs from the argument after a
+    failover — or ``None`` when giving up: ``stop`` was set, ``timeout``
+    ran out, or the only target is closed.
+
+    The loop never spins: a target that still holds the dead session
+    (``ValueError``: not reaped yet) is retried after a 5 ms wait on
+    ``stop``; a closed target (``RuntimeError``) rotates to the next
+    one, with one 10 ms wait per full rotation.
+    """
+    # the session died with the link, but the client-side channel lives
+    # until closed; leave() would also drop the parked resume state of a
+    # target that is merely wedged, so close just the transport
+    stale.conn.close()
+    first = at
+    deadline = time.monotonic() + timeout
+    while not stop.is_set() and time.monotonic() < deadline:
+        try:
+            return join(targets[at]), at
+        except ValueError:
+            stop.wait(0.005)
+        except RuntimeError:
+            at = (at + 1) % len(targets)
+            if at == first:
+                if len(targets) == 1:
+                    return None  # nowhere else to go
+                stop.wait(0.01)
+    return None

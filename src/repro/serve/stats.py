@@ -8,9 +8,15 @@ being stepped down?".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
-__all__ = ["SessionStats", "TierTransition", "ServeStats"]
+__all__ = [
+    "SessionStats",
+    "TierTransition",
+    "HostCounters",
+    "ServeCounters",
+    "ServeStats",
+]
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,35 @@ class SessionStats:
         """
         overrides.setdefault("transitions", list(self.transitions))
         return replace(self, **overrides)
+
+
+@dataclass
+class HostCounters:
+    """What a :class:`~repro.serve.host.SessionHost` counts, for either
+    tier.  A live record: its owner (and the host, which shares the
+    owner's lock) bumps the fields under that lock and copies them out
+    once per snapshot."""
+
+    #: traffic dropped for being malformed (undecodable bytes, a
+    #: non-control message from a viewer, a bad or missing frame_id)
+    malformed: int = 0
+    #: well-formed controls with a tag nobody here handles
+    #: (version-skewed or misbehaving peers)
+    unknown_controls: int = 0
+    #: admissions that continued an earlier stream (same name rejoining
+    #: after an unclean cut, or a client bringing ``resume_from``)
+    resumes: int = 0
+
+
+@dataclass
+class ServeCounters(HostCounters):
+    """The broker's live counters (``encodes`` is not here: it is bumped
+    under the encode lock, not the broker lock)."""
+
+    frames_published: int = 0
+    #: resumes whose start point fell off the retained history window —
+    #: the viewer was sent an explicit ``gap`` signal
+    resume_gaps: int = 0
 
 
 @dataclass
@@ -112,16 +147,10 @@ class ServeStats:
             merged.frames_published = max(
                 merged.frames_published, snap.frames_published
             )
-            merged.encodes += snap.encodes
-            merged.cache_hits += snap.cache_hits
-            merged.cache_misses += snap.cache_misses
-            merged.cache_evictions += snap.cache_evictions
-            merged.cache_bytes += snap.cache_bytes
-            merged.cache_entries += snap.cache_entries
-            merged.malformed_controls += snap.malformed_controls
-            merged.unknown_controls += snap.unknown_controls
-            merged.resumes += snap.resumes
-            merged.resume_gaps += snap.resume_gaps
+            for f in fields(cls):
+                if f.name not in ("sessions", "shards", "frames_published"):
+                    setattr(merged, f.name,
+                            getattr(merged, f.name) + getattr(snap, f.name))
         return merged
 
     @property

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from join_surfaces import SURFACES, host_of, join_surface, surface_stats
 from repro.devtools.waiting import wait_until
 from repro.net.faults import FaultPlan
 from repro.net.transport import ChannelClosed, RetryPolicy
@@ -115,44 +116,45 @@ class TestReconnectResume:
 
 
 class TestMalformedControls:
-    def _wait_malformed(self, broker, n, deadline_s=2.0):
-        try:
-            wait_until(lambda: broker.stats().malformed_controls >= n,
-                       timeout=deadline_s)
-            return True
-        except TimeoutError:
-            return False
-
     def test_bad_acks_are_counted_and_do_not_kill_the_pump(self):
-        broker = SessionBroker(ladder=LOSSLESS, credit_limit=8)
-        try:
-            handle = broker.join("hostile")
-            raw = handle.conn
-            # undecodable bytes, acks without / with junk frame ids, and
-            # a frame message where only control traffic is legal
-            raw.send(b"\x00\xffnot a protocol frame")
-            raw.send(ControlMessage(tag="ack", params={}).encode())
-            raw.send(
-                ControlMessage(tag="ack", params={"frame_id": "nan"}).encode()
-            )
-            raw.send(
-                ControlMessage(tag="ack", params={"frame_id": -3}).encode()
-            )
-            raw.send(
-                ControlMessage(tag="seek", params={"frame_id": True}).encode()
-            )
-            raw.send(
-                FrameMessage(
-                    frame_id=0, time_step=0, codec="raw", payload=b"x"
-                ).encode()
-            )
-            assert self._wait_malformed(broker, 6)
+        for kind in SURFACES:
+            with join_surface(kind, credit_limit=8) as (target, origin):
+                self._hostile_viewer(target, origin)
 
-            # the pump survived: real traffic still flows and acks count
-            broker.publish(_frames(1)[0], frame_id=0)
-            assert handle.next_frame(timeout=2.0).frame_id == 0
-            broker.drain(timeout=2.0)
-            assert broker.stats().sessions["hostile"].acks == 1
-            handle.leave()
-        finally:
-            broker.close()
+    def _hostile_viewer(self, target, origin):
+        handle = target.join("hostile")
+        raw = handle.conn
+        # undecodable bytes, acks/seeks without or with junk frame ids,
+        # and a frame message where only control traffic is legal
+        raw.send(b"\x00\xffnot a protocol frame")
+        raw.send(ControlMessage(tag="ack", params={}).encode())
+        raw.send(ControlMessage(tag="ack", params={"frame_id": "nan"}).encode())
+        raw.send(ControlMessage(tag="ack", params={"frame_id": -3}).encode())
+        raw.send(ControlMessage(tag="ack", params={"frame_id": True}).encode())
+        raw.send(ControlMessage(tag="seek", params={"frame_id": True}).encode())
+        raw.send(ControlMessage(tag="seek", params={"frame_id": -1}).encode())
+        raw.send(
+            FrameMessage(
+                frame_id=0, time_step=0, codec="raw", payload=b"x"
+            ).encode()
+        )
+        # and one well-formed control with a tag nobody registered
+        raw.send(ControlMessage(tag="renderer_status", params={}).encode())
+        wait_until(lambda: surface_stats(target).unknown == 1, timeout=2.0,
+                   message="unknown control counted")
+        assert surface_stats(target).malformed == 8
+
+        # none of it reached the credit machinery
+        (session,) = [
+            s for s in host_of(target, "hostile").live()
+            if s.name == "hostile"
+        ]
+        assert session.in_flight == 0
+        assert surface_stats(target).sessions["hostile"].acks == 0
+
+        # the pump survived: real traffic still flows and acks count
+        origin.publish(_frames(1)[0], frame_id=0)
+        assert handle.next_frame(timeout=2.0).frame_id == 0
+        assert target.drain(timeout=2.0)
+        assert surface_stats(target).sessions["hostile"].acks == 1
+        handle.leave()

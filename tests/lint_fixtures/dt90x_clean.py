@@ -1,5 +1,6 @@
-"""Negative fixture: a conformant broker scope plus a properly paired
-wire record — the protoflow analyzer must report nothing here."""
+"""Negative fixture: a conformant broker scope (whose pump also serves a
+relay's downstream face) plus a properly paired wire record — the
+protoflow analyzer must report nothing here."""
 
 import struct
 
@@ -13,7 +14,7 @@ def decode_piece(blob):
 
 
 class Broker:  # speaks: broker
-    def pump(self, msg):
+    def pump(self, msg):  # speaks: broker@serving, relay@downstream
         if msg.tag in ("ack", "seek"):
             self.advance(msg)
         elif msg.tag == "leave":

@@ -176,6 +176,7 @@ class TestRelayReconnect:
         stale_conn = _CloseRecorder()
         stub = SimpleNamespace(
             fault_plan=None,
+            upstream=None,  # never dialled: closed mid-reconnect
             _lock=threading.Lock(),
             _upstream_handle=SimpleNamespace(conn=stale_conn),
             _closing=threading.Event(),

@@ -145,15 +145,21 @@ class TestBaseline:
         assert not any("TODO" in just for just in entries.values())
 
 
+@pytest.fixture(scope="session")
+def src_run():
+    """One analysis of all of ``src/``: ``(findings, seconds)``."""
+    start = time.monotonic()
+    findings = analyze_paths([REPO / "src"])
+    return findings, time.monotonic() - start
+
+
 class TestTreeIsClean:
-    def test_src_has_zero_nonbaselined_findings_at_head(self):
-        findings = analyze_paths([REPO / "src"])
+    def test_src_has_zero_nonbaselined_findings_at_head(self, src_run):
+        findings, _ = src_run
         assert findings == [], "\n".join(str(f) for f in findings)
 
-    def test_analyzer_is_fast_enough_for_every_lint_run(self):
-        start = time.monotonic()
-        analyze_paths([REPO / "src"])
-        elapsed = time.monotonic() - start
+    def test_analyzer_is_fast_enough_for_every_lint_run(self, src_run):
+        _, elapsed = src_run
         assert elapsed < 10.0, f"resource-flow took {elapsed:.1f}s over src/"
 
     def test_fixture_corpus_is_excluded_from_tree_analysis(self):

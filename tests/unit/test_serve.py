@@ -1,11 +1,21 @@
 """Unit tests for the serving layer: broker, cache, tiers, adaptation."""
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
 
+from join_surfaces import (
+    SURFACES,
+    cut_and_rejoin,
+    frames as random_frames,
+    host_of,
+    join_surface,
+    surface_stats,
+)
 from repro.devtools.waiting import wait_until
 from repro.scenario import synthetic_frames
 from repro.serve import (
@@ -65,6 +75,103 @@ class TestFrameCache:
         cache.put((0, "c", None), b"x" * 50)
         assert cache.current_bytes == 50
         assert len(cache) == 1
+
+
+@pytest.mark.parametrize("kind", SURFACES)
+class TestJoinSurface:
+    """What every join surface promises a reconnecting viewer — one
+    implementation (``repro.serve.host``), so one set of cases."""
+
+    def test_unclean_cut_then_rejoin_keeps_cumulative_counters(self, kind):
+        images = random_frames(4)
+        with join_surface(kind, credit_limit=8) as (target, origin):
+            handle = target.join("wan")
+            for fid in (0, 1):
+                origin.publish(images[fid], time_step=fid, frame_id=fid)
+                assert handle.next_frame(timeout=5.0).frame_id == fid
+            assert target.drain(timeout=5.0)  # both acks have landed
+            handle = cut_and_rejoin(target, handle, resume_from=2)
+            assert handle.resumed
+            for fid in (2, 3):
+                origin.publish(images[fid], time_step=fid, frame_id=fid)
+                assert handle.next_frame(timeout=5.0).frame_id == fid
+            assert target.drain(timeout=5.0)
+            stats = surface_stats(target)
+            assert stats.resumes == 1
+            session = stats.sessions["wan"]
+            assert (session.frames_sent, session.acks) == (4, 4)
+            assert session.reconnects == 1
+            assert session.active
+
+    def test_polite_leave_drops_the_parked_state(self, kind):
+        with join_surface(kind) as (target, origin):
+            first = target.join("polite")
+            origin.publish(random_frames(1)[0], frame_id=0)
+            assert first.next_frame(timeout=5.0).frame_id == 0
+            first.leave()
+            wait_until(lambda: "polite" not in target.sessions(),
+                       message="polite leave reaped")
+            second = target.join("polite")
+            assert not second.resumed
+            stats = surface_stats(target)
+            assert stats.resumes == 0
+            assert stats.sessions["polite"].reconnects == 0
+
+    def test_stale_thread_does_not_reap_the_replacement(self, kind):
+        """A pump (or relay player, or broker delivery) reacts to what
+        it saw on *its* session's connection, possibly after the same
+        name has rejoined: that late detach must leave the new session
+        alone."""
+        with join_surface(kind) as (target, origin):
+            handle = target.join("v")
+            host = host_of(target, "v")
+            (stale,) = [s for s in host.live() if s.name == "v"]
+            handle = cut_and_rejoin(target, handle, resume_from=0)
+            host.detach(stale, resumable=True)  # the stale thread, late
+            assert "v" in target.sessions()
+            origin.publish(random_frames(1)[0], frame_id=0)
+            assert handle.next_frame(timeout=5.0).frame_id == 0
+            # and the replacement's own state was not parked over
+            assert surface_stats(target).sessions["v"].active
+
+
+@pytest.mark.parametrize("kind", ("broker", "relay"))
+def test_reconnect_churn_leaks_neither_threads_nor_snapshots(kind):
+    """A WAN viewer that reconnects every few seconds, for the life
+    of the daemon: the thread list is pruned as it grows and the
+    departed snapshots are kept by name."""
+    cycles = 200
+    with join_surface(kind) as (target, _):
+        handle = target.join("flaky")
+        host = host_of(target, "flaky")
+        for _ in range(cycles):
+            handle = cut_and_rejoin(target, handle, resume_from=None)
+        assert surface_stats(target).sessions["flaky"].reconnects == cycles
+        with host._lock:
+            threads, departed = len(host._threads), len(host._departed)
+        # the live session's pump (+ player, + the relay's ingest)
+        # and at most the previous session's threads still exiting
+        assert threads <= 8
+        assert departed == 1
+
+
+@pytest.mark.parametrize("kind", ("broker", "router2"))
+def test_closed_broker_is_freed_without_the_cycle_collector(kind):
+    """The host's hooks are its owner's bound methods — a reference
+    cycle while serving.  Closing must break it: a closed broker (its
+    cache, its history, its pool's queue threads) goes away when
+    dropped, not at some later collection.  (A relay is in a cycle
+    with its prefetcher besides, so it is not asserted here.)"""
+    gc.collect()
+    gc.disable()
+    try:
+        with join_surface(kind) as (target, _):
+            target.join("v").leave()
+            ref = weakref.ref(target)
+        del target, _
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 class TestEncoderContextReuse:
@@ -319,18 +426,24 @@ class TestBroker:
             broker.join()
         with pytest.raises(RuntimeError):
             broker.publish(np.zeros((4, 4, 3), dtype=np.uint8))
+        for kind in SURFACES:
+            with join_surface(kind) as (target, _):
+                target.close()
+                with pytest.raises(RuntimeError):
+                    target.join("late")
 
     def test_duplicate_name_rejected(self):
-        with SessionBroker() as broker:
-            broker.join("dup")
-            with pytest.raises(ValueError):
-                broker.join("dup")
+        for kind in SURFACES:
+            with join_surface(kind) as (target, _):
+                target.join("dup")
+                with pytest.raises(ValueError):
+                    target.join("dup")
 
     def test_stride_tier_skips_frames(self):
         frames = synthetic_frames(6, size=32)
         with SessionBroker(ladder=LOSSLESS_LADDER) as broker:
             handle = broker.join("v0")
-            session = broker._sessions["v0"]
+            (session,) = broker._host.live()
             session.tier_index = 2  # "skip", stride 2
             consumer = _Consumer(handle)
             _paced_publish(broker, frames)

@@ -22,6 +22,7 @@ import threading
 import numpy as np
 import pytest
 
+from join_surfaces import LOSSLESS, frames as _frames, join_surface, surface_stats
 from repro.compress import get_codec
 from repro.devtools.locktrace import checked
 from repro.devtools.waiting import wait_until
@@ -29,25 +30,12 @@ from repro.serve import (
     EncodeFailed,
     EncodePool,
     FrameCache,
-    QualityTier,
     ServeStats,
     SessionBroker,
     SessionRouter,
-    TierLadder,
     shard_for,
 )
 from repro.serve.stats import SessionStats
-
-#: lossless, stride-free ladder so frame identity can be asserted exactly
-LOSSLESS = TierLadder(
-    (QualityTier("full", "lzo"), QualityTier("low", "rle"))
-)
-
-
-def _frames(n, size=16):
-    rng = np.random.default_rng(11)
-    return [rng.integers(0, 255, (size, size, 3), dtype=np.uint8)
-            for _ in range(n)]
 
 
 class TestShardFor:
@@ -154,20 +142,41 @@ class TestSessionRouter:
 
 
 class TestResumeGapSignal:
-    def _run_to_history_loss(self, broker):
-        """Publish past the retention window with a consuming viewer.
+    #: the join surfaces an *unseen* name resumes on (a viewer rotating
+    #: in from another host brings only ``resume_from``), each with the
+    #: oldest of ids 0..11 it can still replay: the origin keeps a
+    #: 4-frame window, the relay stored every frame it forwarded
+    UNSEEN = (("broker", 8), ("router2", 8), ("relay", 0))
 
-        The broker's credit limit must cover all 12 frames: acks return
+    def _stream_past_window(self, target, origin):
+        """Publish 12 frames through a 4-frame retention window with a
+        consuming viewer ``v`` on ``target``; returns the frames.
+
+        The credit limit must cover all 12 frames: acks return
         credits asynchronously (the session pump thread), so a tighter
         limit would let a loaded machine drop a frame mid-setup.
         """
         frames = _frames(12)
-        handle = broker.join("v")
+        handle = target.join("v")
         for fid, image in enumerate(frames):
-            broker.publish(image, time_step=fid, frame_id=fid)
+            origin.publish(image, time_step=fid, frame_id=fid)
             assert handle.next_frame(timeout=5.0).frame_id == fid
+        return frames
+
+    def _run_to_history_loss(self, broker):
+        frames = self._stream_past_window(broker, broker)
         broker.leave("v", resumable=True)
         return frames
+
+    def _unseen_surfaces(self):
+        """Each UNSEEN surface after the same 12 frames, with the id a
+        resume from before the window starts at."""
+        for kind, oldest in self.UNSEEN:
+            with join_surface(
+                kind, history_frames=4, credit_limit=16
+            ) as (target, origin):
+                frames = self._stream_past_window(target, origin)
+                yield target, origin, oldest, frames
 
     def test_resume_past_history_gets_explicit_gap(self):
         with SessionBroker(
@@ -180,6 +189,13 @@ class TestResumeGapSignal:
             assert frame.frame_id == 8  # oldest retained frame
             assert handle.gaps == [(0, 8)]
             assert broker.stats().resume_gaps == 1
+        for target, origin, oldest, _ in self._unseen_surfaces():
+            handle = target.join("fresh", resume_from=0)
+            assert handle.resumed
+            assert handle.next_frame(timeout=5.0).frame_id == oldest
+            assert handle.gaps == ([(0, oldest)] if oldest else [])
+            assert surface_stats(target).resumes == 1
+            assert origin.stats().resume_gaps == (1 if oldest else 0)
 
     def test_resume_inside_history_has_no_gap(self):
         with SessionBroker(
@@ -190,6 +206,13 @@ class TestResumeGapSignal:
             assert handle.next_frame(timeout=5.0).frame_id == 10
             assert handle.gaps == []
             assert broker.stats().resume_gaps == 0
+        for target, origin, _, _ in self._unseen_surfaces():
+            handle = target.join("fresh", resume_from=10)
+            assert handle.resumed
+            assert handle.next_frame(timeout=5.0).frame_id == 10
+            assert handle.gaps == []
+            assert surface_stats(target).resumes == 1
+            assert origin.stats().resume_gaps == 0
 
     def test_resume_beyond_newest_waits_without_gap(self):
         with SessionBroker(
@@ -201,6 +224,14 @@ class TestResumeGapSignal:
             assert handle.next_frame(timeout=5.0).frame_id == 12
             assert handle.gaps == []
             assert broker.stats().resume_gaps == 0
+        for target, origin, _, frames in self._unseen_surfaces():
+            handle = target.join("fresh", resume_from=12)
+            assert handle.resumed
+            origin.publish(frames[0], time_step=12, frame_id=12)
+            assert handle.next_frame(timeout=5.0).frame_id == 12
+            assert handle.gaps == []
+            assert surface_stats(target).resumes == 1
+            assert origin.stats().resume_gaps == 0
 
 
 class TestEncodePool:
