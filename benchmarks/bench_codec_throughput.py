@@ -123,20 +123,6 @@ def measure_throughput(size: int = 256, repeat: int = 5) -> dict:
             "decode_MBps": round(mb / dec_s, 3),
             "ratio": round(frame.nbytes / len(payload), 3),
         }
-    # The JPEG+Huffman path in both stream formats, when the codec knows
-    # how to emit the legacy (v1, non-interleaved) stream: the in-run
-    # apples-to-apples comparison behind the fast-decode claim.
-    try:
-        legacy = get_codec("jpeg", stream_version=1)
-    except TypeError:
-        legacy = None
-    if legacy is not None:
-        payload = legacy.encode_image(frame)
-        results["jpeg_v1_stream"] = {
-            "encode_MBps": round(mb / _clock(legacy.encode_image, frame, repeat=repeat), 3),
-            "decode_MBps": round(mb / _clock(legacy.decode_image, payload, repeat=repeat), 3),
-            "ratio": round(frame.nbytes / len(payload), 3),
-        }
     return {"image_size": size, "frame_MB": round(mb, 3), "methods": results}
 
 

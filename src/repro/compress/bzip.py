@@ -23,10 +23,11 @@ Container formats (the decoder accepts both)::
                    | huffman table | interleaved-lane blob
                      (see repro.compress.huffman.encode_interleaved)
 
-v2 is the default: its per-block symbol stream is dealt into interleaved
-Huffman lanes so the decoder advances many lanes per NumPy pass instead of
-one symbol per Python iteration.  ``block_size`` plays the role of bzip2's
-``-1``..``-9`` knob.
+The encoder writes v2: its per-block symbol stream is dealt into
+interleaved Huffman lanes so the decoder advances many lanes per NumPy
+pass instead of one symbol per Python iteration.  v1 is the legacy layout
+an older writer produced; it is read, never written.  ``block_size`` plays
+the role of bzip2's ``-1``..``-9`` knob.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from repro.compress.huffman import (
     decode_interleaved,
     decode_symbols,
     encode_interleaved,
-    encode_symbols,
 )
 from repro.compress.mtf import mtf_forward, mtf_inverse
 from repro.compress.rle import RLECodec, find_runs
@@ -150,10 +150,6 @@ class BZIPCodec(LosslessCodec):
         Bytes per independently-sorted block (default 512 KiB).  Larger
         blocks improve ratio at superlinear sort cost, mirroring bzip2's
         ``-1``..``-9``.
-    stream_version:
-        2 (default) emits the interleaved-lane container (``RBZ2``);
-        1 emits the legacy single-stream container (``RBZP``).  Both
-        decode regardless of this setting.
     context:
         Optional shared :class:`~repro.compress.context.CodecContext` for
         cross-frame Huffman-table reuse; private when omitted.
@@ -164,15 +160,11 @@ class BZIPCodec(LosslessCodec):
     def __init__(
         self,
         block_size: int = 512 * 1024,
-        stream_version: int = 2,
         context: CodecContext | None = None,
     ):
         if block_size < 1024:
             raise ValueError("block_size must be >= 1024")
-        if stream_version not in (1, 2):
-            raise ValueError("stream_version must be 1 or 2")
         self.block_size = block_size
-        self.stream_version = stream_version
         self._ctx = context if context is not None else CodecContext()
         self._rle1 = RLECodec(min_run=4)
 
@@ -182,8 +174,7 @@ class BZIPCodec(LosslessCodec):
 
     def encode(self, data: bytes) -> bytes:
         pre = self._rle1.encode(data)
-        magic = _MAGIC if self.stream_version == 1 else _MAGIC_V2
-        out = [magic, struct.pack("<II", len(data), self.block_size)]
+        out = [_MAGIC_V2, struct.pack("<II", len(data), self.block_size)]
         for start in range(0, max(len(pre), 1), self.block_size):
             block = pre[start : start + self.block_size]
             last, primary = bwt_forward(block)
@@ -191,22 +182,9 @@ class BZIPCodec(LosslessCodec):
             symbols = _zero_runs_to_symbols(mtf)
             freqs = np.bincount(symbols, minlength=_ALPHABET)
             code = build_code(freqs)
-            if self.stream_version == 1:
-                payload, nbits = encode_symbols(symbols, code)
-                out.append(
-                    struct.pack(
-                        "<IIII", len(block), primary, symbols.size, nbits
-                    )
-                )
-                out.append(code.to_bytes())
-                out.append(struct.pack("<I", len(payload)))
-                out.append(payload)
-            else:
-                out.append(
-                    struct.pack("<III", len(block), primary, symbols.size)
-                )
-                out.append(code.to_bytes())
-                out.append(encode_interleaved(symbols, code))
+            out.append(struct.pack("<III", len(block), primary, symbols.size))
+            out.append(code.to_bytes())
+            out.append(encode_interleaved(symbols, code))
         return b"".join(out)
 
     def decode(self, payload: bytes) -> bytes:
@@ -237,6 +215,7 @@ class BZIPCodec(LosslessCodec):
         if offset + head > len(payload):
             raise CodecError("bzip: truncated block header")
         if version == 1:
+            # wire: rbzp-block (one-sided: v1 is read, no longer written)
             block_len, primary, nsyms, nbits = struct.unpack_from(
                 "<IIII", payload, offset
             )

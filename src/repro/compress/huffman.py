@@ -10,8 +10,10 @@ vectorized.
 
 Two stream layouts exist:
 
-- the legacy layout (:func:`encode_symbols`/:func:`decode_symbols`): one
-  stream, decoded one table lookup per symbol in a Python loop;
+- the legacy layout (:func:`decode_symbols`): one stream, decoded one
+  table lookup per symbol in a Python loop.  The codecs only read it
+  (BZIP's ``RBZP`` container); its writer stays as the reference the
+  reader is tested against;
 - the interleaved layout (:func:`encode_interleaved` /
   :func:`decode_interleaved`): the symbol sequence is dealt round-robin
   into ``K`` independent lanes, each entropy-coded separately and
@@ -278,6 +280,8 @@ def decode_symbols(
     """Decode exactly ``count`` symbols from a packed payload."""
     if count == 0:
         return np.zeros(0, dtype=np.uint32)
+    if count > nbits:  # every code word is at least one bit
+        raise CodecError("huffman: symbol count exceeds bit count")
     bits = unpack_bits(payload, nbits)
     lut_sym, lut_len, width = code.decode_tables()
     windows = sliding_code_windows(bits, width)
@@ -391,7 +395,7 @@ def encode_interleaved(
     short streams (every lane under 64 Kibit, i.e. all of JPEG's) pay 2
     bytes per lane of header, only the huge BZIP block streams pay 4.
     ``count`` is *not* stored — the caller's container knows it, exactly
-    as with :func:`encode_symbols`.
+    as in the legacy layout.
     """
     symbols = np.asarray(symbols)
     n = symbols.size
@@ -442,6 +446,8 @@ def decode_interleaved(
         if int(lane_nbits.sum()) != 0:
             raise CodecError("huffman: symbol count mismatch")
         return np.zeros(0, dtype=np.uint32), end
+    if count > int(lane_nbits.sum()):  # every code word is at least one bit
+        raise CodecError("huffman: symbol count exceeds bit count")
 
     body = np.frombuffer(payload, dtype=np.uint8, count=body_len, offset=head_end)
     bits = np.unpackbits(body)

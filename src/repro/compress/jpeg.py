@@ -8,20 +8,18 @@ zero-run coding with ZRL/EOB, canonical Huffman entropy coding with
 amplitude bits — in our own container format (it is not bit-compatible with
 ITU T.81; see DESIGN.md §7).
 
-Two stream versions share the container:
+The encoder writes stream version 2: per plane, the DC size symbols and
+the AC run/size symbols are entropy-coded as *interleaved Huffman lanes*
+(:func:`repro.compress.huffman.encode_interleaved`) and the amplitude
+bits ride in a third raw bit stream.  Amplitude bit-lengths are implied by
+the decoded symbols, so after the lane decode the amplitudes, DC
+prediction, zero-run expansion, and coefficient placement are all single
+vectorized passes — no per-token Python loop anywhere on that decode path.
 
-- **v1** (legacy): DC/AC code words and amplitude bits interleaved in one
-  stream per plane; the decoder walks it token by token in Python.
-- **v2** (default): per plane, the DC size symbols and the AC run/size
-  symbols are entropy-coded as *interleaved Huffman lanes*
-  (:func:`repro.compress.huffman.encode_interleaved`) and the amplitude
-  bits ride in a third raw bit stream.  Amplitude bit-lengths are implied
-  by the decoded symbols, so after the lane decode the amplitudes, DC
-  prediction, zero-run expansion, and coefficient placement are all single
-  vectorized passes — no per-token Python loop anywhere on the decode path.
-
-Both versions decode to byte-identical images; the encoder picks the
-version via ``stream_version`` and the decoder dispatches on the header.
+The decoder dispatches on the header's version byte and also reads the
+legacy version 1, which an older writer produced: DC/AC code words and
+amplitude bits interleaved in one stream per plane, walked token by token
+in Python.  Both versions decode to byte-identical images.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import struct
 import numpy as np
 
 from repro.compress.base import Codec, CodecError, register_codec
-from repro.compress.bitio import pack_values, sliding_code_windows, unpack_bits
+from repro.compress.bitio import sliding_code_windows, unpack_bits
 from repro.compress.color import (
     downsample_420,
     pad_to_multiple,
@@ -173,122 +171,6 @@ def _extract_amplitudes(
     return raw.astype(np.int64)
 
 
-class _PlaneTokens:
-    """Interleaved token stream of one plane, ready for bit packing.
-
-    ``context`` selects the Huffman table (0 = DC, 1 = AC) per token;
-    ``symbol`` is the table index; ``amp``/``amp_size`` the raw bits that
-    follow the code word.
-    """
-
-    def __init__(self, zz: np.ndarray):
-        n = zz.shape[0]
-        dc = zz[:, 0].astype(np.int64)
-        diffs = np.diff(dc, prepend=0)
-        dc_sizes = _sizes(diffs)
-        ac = zz[:, 1:].astype(np.int64)
-
-        nzb, nzp = np.nonzero(ac)
-        vals = ac[nzb, nzp]
-        # zero-run before each nonzero, within its block
-        prev_pos = np.full(nzb.size, -1, dtype=np.int64)
-        if nzb.size > 1:
-            same = nzb[1:] == nzb[:-1]
-            prev_pos[1:] = np.where(same, nzp[:-1], -1)
-        run = nzp - prev_pos - 1
-        nzrl = run >> 4
-        rem = run & 0xF
-        val_sizes = _sizes(vals)
-        if val_sizes.size and val_sizes.max() > 15:
-            raise CodecError("jpeg: AC coefficient exceeds amplitude range")
-
-        total_zrl = int(nzrl.sum())
-        # Stream order inside a block: DC (seq -1), then for each nonzero at
-        # zigzag position p: its ZRL tokens (seq 4p..4p+2, run < 63 implies
-        # at most 3) then the value token (seq 4p+3); EOB last (seq 256).
-        zrl_owner = np.repeat(np.arange(nzb.size), nzrl)
-        zrl_intra = np.arange(total_zrl) - np.repeat(
-            np.cumsum(nzrl) - nzrl, nzrl
-        )
-        block = np.concatenate(
-            [np.arange(n), nzb[zrl_owner], nzb, np.arange(n)]
-        )
-        seq = np.concatenate(
-            [
-                np.full(n, -1, dtype=np.int64),
-                4 * nzp[zrl_owner] + zrl_intra,
-                4 * nzp + 3,
-                np.full(n, 4 * 64, dtype=np.int64),
-            ]
-        )
-        context = np.concatenate(
-            [
-                np.zeros(n, dtype=np.int64),
-                np.ones(total_zrl + nzb.size + n, dtype=np.int64),
-            ]
-        )
-        symbol = np.concatenate(
-            [
-                dc_sizes,
-                np.full(total_zrl, _ZRL, dtype=np.int64),
-                (rem << 4) | val_sizes,
-                np.full(n, _EOB, dtype=np.int64),
-            ]
-        )
-        amp_size = np.concatenate(
-            [
-                dc_sizes,
-                np.zeros(total_zrl, dtype=np.int64),
-                val_sizes,
-                np.zeros(n, dtype=np.int64),
-            ]
-        )
-        amp = np.concatenate(
-            [
-                _amplitude_bits(diffs, dc_sizes),
-                np.zeros(total_zrl, dtype=np.uint64),
-                _amplitude_bits(vals, val_sizes),
-                np.zeros(n, dtype=np.uint64),
-            ]
-        )
-        order = np.lexsort((seq, block))
-        self.context = context[order]
-        self.symbol = symbol[order]
-        self.amp_size = amp_size[order]
-        self.amp = amp[order]
-
-    def pack(
-        self, dc_code: HuffmanCode, ac_code: HuffmanCode
-    ) -> tuple[bytes, int]:
-        dc_codes = np.zeros(256, dtype=np.uint64)
-        dc_lens = np.zeros(256, dtype=np.int64)
-        dc_codes[: dc_code.codes.size] = dc_code.codes
-        dc_lens[: dc_code.lengths.size] = dc_code.lengths
-        is_dc = self.context == 0
-        codes = np.where(
-            is_dc,
-            dc_codes[self.symbol],
-            ac_code.codes.astype(np.uint64)[self.symbol],
-        )
-        lens = np.where(
-            is_dc, dc_lens[self.symbol], ac_code.lengths[self.symbol]
-        )
-        n = self.symbol.size
-        values = np.empty(2 * n, dtype=np.uint64)
-        lengths = np.empty(2 * n, dtype=np.int64)
-        values[0::2] = codes
-        values[1::2] = self.amp
-        lengths[0::2] = lens
-        lengths[1::2] = self.amp_size
-        return pack_values(values, lengths)
-
-    def frequencies(self) -> tuple[np.ndarray, np.ndarray]:
-        is_dc = self.context == 0
-        dc_freq = np.bincount(self.symbol[is_dc], minlength=16)
-        ac_freq = np.bincount(self.symbol[~is_dc], minlength=256)
-        return dc_freq, ac_freq
-
-
 class JPEGCodec(Codec):
     """Baseline-style JPEG codec.
 
@@ -307,12 +189,8 @@ class JPEGCodec(Codec):
         inaccurate approximations to the required calculations" (§4.2).
         Output keeps the full image dimensions (nearest upsample), so a
         weak display client can cheaply keep up with the frame stream.
-    stream_version:
-        2 (default) = interleaved-lane entropy streams with the
-        vectorized decoder; 1 = the legacy per-token layout.  Both decode
-        regardless of this setting.
     lanes:
-        Explicit lane count ``K`` for the v2 interleaved symbol streams
+        Explicit lane count ``K`` for the interleaved symbol streams
         (1..255); ``None`` (default) sizes lanes from the stream length
         exactly as before.  Any value decodes everywhere — ``K`` travels
         in the blob header.
@@ -330,20 +208,16 @@ class JPEGCodec(Codec):
         quality: int = 75,
         subsample: bool = True,
         fast_decode: int = 0,
-        stream_version: int = _V2,
         lanes: int | None = None,
         context: CodecContext | None = None,
     ):
         if fast_decode not in (0, 1, 2, 3):
             raise ValueError("fast_decode must be 0, 1, 2, or 3")
-        if stream_version not in (_V1, _V2):
-            raise ValueError("stream_version must be 1 or 2")
         if lanes is not None and not 1 <= lanes <= 255:
             raise ValueError("lanes must be in 1..255")
         self.quality = quality
         self.subsample = subsample
         self.fast_decode = fast_decode
-        self.stream_version = stream_version
         self.lanes = lanes
         self._ctx = context if context is not None else CodecContext()
         self._luma_q, self._chroma_q = self._ctx.quant_tables(quality)
@@ -386,7 +260,7 @@ class JPEGCodec(Codec):
             _MAGIC,
             struct.pack(
                 "<BIIBBB",
-                self.stream_version,
+                _V2,
                 h,
                 w,
                 1 if gray else 3,
@@ -449,30 +323,10 @@ class JPEGCodec(Codec):
             o += nn * nblk
         np.rint(buf, out=buf)
 
-        if self.stream_version == _V1:
-            # v1 tokenization consumes whole zigzag rows: rearrange each
-            # plane into natural (nblocks, 64) rows, then reorder them.
-            # The v2 path below skips both passes — it maps only the
-            # sparse nonzeros out of the strip layout.
-            o = 0
-            for (bh, bw), nn in zip(dims, ns):
-                size = nn * nblk
-                nat = tmp[o : o + size].reshape(nn, nblk)
-                np.copyto(
-                    nat.reshape(bh, bw, BLOCK, BLOCK),
-                    buf[o : o + size]
-                    .reshape(bh, BLOCK, bw, BLOCK)
-                    .transpose(0, 2, 1, 3),
-                )
-                zz = buf[o : o + size].reshape(nn, nblk)
-                np.take(nat, _ZIGZAG, axis=1, out=zz)
-                out.append(self._encode_plane_v1(zz, bh, bw))
-                o += size
-        else:
-            vparts: list[np.ndarray] = []
-            wparts: list[np.ndarray] = []
-            self._collect_planes_v2(buf, dims, vparts, wparts)
-            out.append(self._pack_frame(vparts, wparts))
+        vparts: list[np.ndarray] = []
+        wparts: list[np.ndarray] = []
+        self._collect_planes_v2(buf, dims, vparts, wparts)
+        out.append(self._pack_frame(vparts, wparts))
         return b"".join(out)
 
     def _pack_frame(
@@ -489,21 +343,6 @@ class JPEGCodec(Codec):
         sink.write(np.concatenate(vparts), np.concatenate(wparts))
         buf, _ = sink.payload()
         return buf
-
-    def _encode_plane_v1(self, zz: np.ndarray, bh: int, bw: int) -> bytes:
-        tokens = _PlaneTokens(zz.astype(np.int32))
-        dc_freq, ac_freq = tokens.frequencies()
-        dc_code = self._ctx.code_for_freqs(dc_freq)
-        ac_code = self._ctx.code_for_freqs(ac_freq)
-        payload, nbits = tokens.pack(dc_code, ac_code)
-        parts = [
-            struct.pack("<IIQ", bh, bw, nbits),
-            dc_code.to_bytes(),
-            ac_code.to_bytes(),
-            struct.pack("<I", len(payload)),
-            payload,
-        ]
-        return b"".join(parts)
 
     def _quant_tile(self, luma: bool, qt: np.ndarray, bw: int) -> np.ndarray:
         """Reciprocal quant table tiled to one strip row, ``(8, bw * 8)``."""
@@ -551,12 +390,9 @@ class JPEGCodec(Codec):
         """Direct vectorized v2 encode of every plane in one global pass.
 
         The v2 container separates DC symbols, AC symbols and amplitude
-        bits anyway, so instead of building the v1-ordered token stream
-        (:class:`_PlaneTokens`'s lexsort) and filtering it apart again,
-        the three streams are constructed directly: value/ZRL/EOB symbol
-        positions are computed with cumulative sums over the nonzero
-        coefficients and scattered into one flat symbol array.  Output
-        bytes are identical to the filtering path.
+        bits, so the three streams are constructed directly: value/ZRL/EOB
+        symbol positions are computed with cumulative sums over the
+        nonzero coefficients and scattered into one flat symbol array.
 
         ``buf`` holds every plane's quantized coefficients back to back
         in *strip layout* (``dims`` gives each plane's block grid; plane
@@ -767,6 +603,7 @@ class JPEGCodec(Codec):
             return self._decode_plane_v2(payload, offset, qtable, max_blocks)
         if offset + 16 > len(payload):
             raise CodecError("jpeg: truncated plane header")
+        # wire: jpeg-v1-plane (one-sided: v1 is read, no longer written)
         bh, bw, nbits = struct.unpack_from("<IIQ", payload, offset)
         offset += 16
         if bh < 1 or bw < 1 or bh * bw > max_blocks:
@@ -783,6 +620,9 @@ class JPEGCodec(Codec):
             raise CodecError("jpeg: bit count exceeds payload size")
 
         nblocks = bh * bw
+        if 2 * nblocks > nbits:
+            # every block holds at least a DC code word and an EOB
+            raise CodecError("jpeg: block count exceeds bit count")
         zz = self._entropy_decode(
             payload[offset : offset + plen], int(nbits), nblocks, dc_code, ac_code
         )

@@ -3,15 +3,18 @@
 Two guarantees are pinned here.  First, the interleaved-lane Huffman blob
 (``encode_interleaved``/``decode_interleaved``) inverts for any symbol
 stream and any legal lane count.  Second, the *legacy* v1 containers stay
-decodable forever: golden byte strings captured from a v1 encoder must
-keep producing their known outputs, so a new display daemon can always
-drain a stream produced by an old renderer.
+decodable forever: the codecs no longer write v1, so golden byte strings
+captured from the retired v1 writers (``v1_streams``) must keep decoding
+to their known outputs, equal to what the v2 stream of the same input
+decodes to, so a new display daemon can always drain a stream produced by
+an old renderer.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+import v1_streams
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -77,27 +80,19 @@ class TestInterleavedRoundtrip:
         with pytest.raises(CodecError):
             decode_interleaved(blob[:-1], 0, arr.size, code)
 
-    @given(data=st.binary(min_size=0, max_size=1500))
-    @settings(
-        max_examples=40,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    def test_bzip_v1_v2_cross_decode(self, data):
-        v1 = get_codec("bzip", stream_version=1)
-        v2 = get_codec("bzip", stream_version=2)
-        assert v2.decode(v1.encode(data)) == data
-        assert v1.decode(v2.encode(data)) == data
+    def test_bzip_v1_v2_cross_decode(self):
+        codec = get_codec("bzip")
+        for data, p1 in v1_streams.BZIP_V1_STREAMS:
+            assert codec.decode(p1) == data
+            assert codec.decode(codec.encode(data)) == data
 
-    @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=15, deadline=None)
-    def test_jpeg_v1_v2_decode_identically(self, seed):
-        rng = np.random.default_rng(seed)
-        img = rng.integers(0, 256, (24, 24, 3), dtype=np.uint8)
-        p1 = get_codec("jpeg", stream_version=1).encode_image(img)
-        p2 = get_codec("jpeg", stream_version=2).encode_image(img)
+    def test_jpeg_v1_v2_decode_identically(self):
         dec = get_codec("jpeg")
-        assert np.array_equal(dec.decode_image(p1), dec.decode_image(p2))
+        for seed, p1 in v1_streams.JPEG_V1_RANDOM24.items():
+            rng = np.random.default_rng(seed)
+            img = rng.integers(0, 256, (24, 24, 3), dtype=np.uint8)
+            p2 = get_codec("jpeg").encode_image(img)
+            assert np.array_equal(dec.decode_image(p1), dec.decode_image(p2))
 
 
 class TestVectorizedEncodeLanes:
@@ -154,10 +149,11 @@ class TestVectorizedEncodeLanes:
     def test_v1_decode_matches_v2_across_lanes(self, lanes):
         rng = np.random.default_rng(7)
         img = rng.integers(0, 256, (17, 23, 3), dtype=np.uint8)
-        p1 = get_codec("jpeg", stream_version=1).encode_image(img)
         p2 = get_codec("jpeg", lanes=lanes).encode_image(img)
         dec = get_codec("jpeg")
-        assert np.array_equal(dec.decode_image(p1), dec.decode_image(p2))
+        assert np.array_equal(
+            dec.decode_image(v1_streams.JPEG_V1_RNG7), dec.decode_image(p2)
+        )
 
     @pytest.mark.parametrize("name", ["lzo", "bzip"])
     def test_lossless_stages_roundtrip_jpeg_payloads(self, name):
@@ -170,43 +166,17 @@ class TestVectorizedEncodeLanes:
 
 
 class TestLegacyGoldenBytes:
-    """Byte strings captured from the v1 encoders.  If these stop decoding,
+    """Byte strings captured from the v1 writers.  If these stop decoding,
     newly deployed peers have broken compatibility with live old ones."""
 
-    # bzip stream_version=1 ("RBZP") container of _golden_data()
-    BZIP_V1 = bytes.fromhex(
-        "52425a501c02000000000800210200001d020000710000003901000002010000"
-        "104c601ca5398c6300e00000000000000000000001c000000000000000000000"
-        "0000000000000000000000000000000000000000000000000000000000000000"
-        "00380e0380070180000000000000000038000000000000000000000000000000"
-        "0000000000000000000000000000000000000000000000000000000000000000"
-        "0000000000000000000000000000000000000000000000000000000000000000"
-        "01c028000000fd82649dc9b51b931c49c936a372704e46742ebed4bd54ba4b18"
-        "d55621e7457ba97ca976f19d7f80"
-    )
-
-    @staticmethod
-    def _golden_data():
-        return (
-            bytes((np.arange(300) * 7 % 11).astype(np.uint8)) + b"golden" * 40
-        )
-
     def test_bzip_v1_golden_decodes(self):
-        assert self.BZIP_V1.startswith(b"RBZP")
-        assert get_codec("bzip").decode(self.BZIP_V1) == self._golden_data()
-
-    def test_v1_reencode_matches_golden(self):
-        """The v1 encoder is still frozen too (old peers must also be able
-        to decode what a back-level-configured new peer emits)."""
-        enc = get_codec("bzip", stream_version=1).encode(self._golden_data())
-        assert enc == self.BZIP_V1
+        p1 = v1_streams.BZIP_V1_GOLDEN
+        assert p1.startswith(b"RBZP")
+        assert get_codec("bzip").decode(p1) == v1_streams.golden_data()
 
     def test_jpeg_v1_golden_decodes(self):
-        yy, xx = np.mgrid[0:16, 0:16]
-        img = np.clip(
-            np.stack([xx * 16, yy * 16, (xx + yy) * 8], axis=-1), 0, 255
-        ).astype(np.uint8)
-        p1 = get_codec("jpeg", stream_version=1, quality=50).encode_image(img)
+        p1 = v1_streams.JPEG_V1_GRADIENT_Q50
+        assert p1[4] == 1  # the version byte
         out = get_codec("jpeg").decode_image(p1)
         assert out.shape == (16, 16, 3)
         assert hashlib.sha256(out.tobytes()).hexdigest() == (

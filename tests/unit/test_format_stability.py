@@ -11,6 +11,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import v1_streams
 
 from repro.compress import get_codec
 from repro.core.subset_viewing import pack_volume_subset
@@ -107,18 +108,24 @@ class TestGoldenHashes:
         assert get_codec("bzip").encode(b"abc").startswith(b"RBZ2")
         assert get_codec("deflate").encode(b"abc").startswith(b"RDFL")
         img = fixed_image()
-        assert get_codec("jpeg").encode_image(img).startswith(b"RJPG")
+        payload = get_codec("jpeg").encode_image(img)
+        assert payload.startswith(b"RJPG")
+        assert payload[4] == 2  # the stream version; v1 is read, not written
         assert get_codec("raw").encode_image(img).startswith(b"RIMG")
 
     def test_legacy_v1_containers_still_encode_and_decode(self):
-        data = fixed_bytes()
-        v1 = get_codec("bzip", stream_version=1).encode(data)
+        """The captured v1 streams (``v1_streams``) decode exactly as the
+        v2 streams of the same inputs do."""
+        v1 = v1_streams.BZIP_V1_RUNS
         assert v1.startswith(b"RBZP")
-        assert get_codec("bzip").decode(v1) == data
+        assert get_codec("bzip").decode(v1) == v1_streams.run_bytes()
         img = fixed_image()
-        p1 = get_codec("jpeg", stream_version=1).encode_image(img)
-        out1 = get_codec("jpeg").decode_image(p1)
-        out2 = get_codec("jpeg").decode_image(
-            get_codec("jpeg").encode_image(img)
-        )
-        assert np.array_equal(out1, out2)
+        for p1, src in [
+            (v1_streams.JPEG_V1_FIXED_IMAGE, img),
+            (v1_streams.JPEG_V1_GRAY, img[..., 0]),
+        ]:
+            out1 = get_codec("jpeg").decode_image(p1)
+            out2 = get_codec("jpeg").decode_image(
+                get_codec("jpeg").encode_image(src)
+            )
+            assert np.array_equal(out1, out2)
