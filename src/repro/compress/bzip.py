@@ -5,8 +5,11 @@ Burrows-Wheeler block-sorting compression algorithm and Huffman coding"):
 
 1. **RLE1** — byte run-length pre-pass (tames degenerate runs and shrinks
    the sorter's input on flat images);
-2. **BWT** — block sort (:mod:`repro.compress.bwt`), per block;
-3. **MTF** — move-to-front (:mod:`repro.compress.mtf`);
+2. **BWT** — block sort (:mod:`repro.compress.bwt`), per block: prefix
+   doubling that re-sorts only still-tied rotations, inverted by leaps
+   along the last-first chain;
+3. **MTF** — move-to-front (:mod:`repro.compress.mtf`), looping over run
+   boundaries only;
 4. **RLE2** — zero runs re-coded in bijective base 2 with two dedicated
    symbols (``RUNA``/``RUNB``), exactly bzip2's scheme;
 5. **Huffman** — canonical length-limited code over the 258-symbol
@@ -27,7 +30,9 @@ The encoder writes v2: its per-block symbol stream is dealt into
 interleaved Huffman lanes so the decoder advances many lanes per NumPy
 pass instead of one symbol per Python iteration.  v1 is the legacy layout
 an older writer produced; it is read, never written.  ``block_size`` plays
-the role of bzip2's ``-1``..``-9`` knob.
+the role of bzip2's ``-1``..``-9`` knob.  The decoder holds every block
+to its header: ``rle1_len`` at most the stream's ``block_size``, and the
+zero runs of RLE2 adding up to exactly ``rle1_len`` before they expand.
 """
 
 from __future__ import annotations
@@ -98,12 +103,18 @@ def _zero_runs_to_symbols(mtf_bytes: bytes) -> np.ndarray:
     return symbols
 
 
-def _symbols_to_zero_runs(symbols: np.ndarray) -> bytes:
+def _symbols_to_zero_runs(symbols: np.ndarray, block_len: int) -> bytes:
     """Invert :func:`_zero_runs_to_symbols` (EOB terminates).
 
     Vectorized: RUNA/RUNB digit groups collapse to zero-run lengths via a
     segmented positional sum, then one ``np.repeat`` materializes the
-    output — no per-symbol Python loop.
+    output — no per-symbol Python loop.  The output is the block's
+    ``block_len`` bytes (a header claim), and the digits are held to it
+    before anything is expanded: a run of at most ``block_len`` zeros has
+    at most ``block_len.bit_length()`` digits, so a group of more than one
+    digit beyond that (which would ask for 2**digits bytes, and from 63
+    digits on wrap int64) or a stream that adds up to another length is
+    rejected with :class:`CodecError`.
     """
     symbols = np.asarray(symbols, dtype=np.int64)
     eobs = np.flatnonzero(symbols == _EOB)
@@ -112,6 +123,8 @@ def _symbols_to_zero_runs(symbols: np.ndarray) -> bytes:
     symbols = symbols[: eobs[0]]
     n = symbols.size
     if n == 0:
+        if block_len:
+            raise CodecError("bzip: block length mismatch")
         return b""
     if symbols.max() > 256:
         raise CodecError(
@@ -128,8 +141,10 @@ def _symbols_to_zero_runs(symbols: np.ndarray) -> bytes:
         digit_pos = np.arange(n) - np.maximum.accumulate(
             np.where(group_start, np.arange(n), -1)
         )
-        contrib = (symbols + 1) << np.where(is_run, digit_pos, 0)
-        np.add.at(run_lens, grp[is_run], contrib[is_run])
+        digit_pos = digit_pos[is_run]
+        if digit_pos.max() > block_len.bit_length():
+            raise CodecError("bzip: zero run longer than its block")
+        np.add.at(run_lens, grp[is_run], (symbols[is_run] + 1) << digit_pos)
     # stream items in order: each digit group (at its first digit) expands
     # to run_lens zeros, each value symbol to one byte
     item = ~is_run | group_start
@@ -138,7 +153,9 @@ def _symbols_to_zero_runs(symbols: np.ndarray) -> bytes:
     # grp is -1 before the first group; clamp — those items are values,
     # so the gathered run length is discarded by the where()
     item_counts = np.where(item_is_run, run_lens[np.maximum(grp[item], 0)], 1)
-    return np.repeat(item_vals, item_counts).astype(np.uint8).tobytes()
+    if item_counts.sum() != block_len:
+        raise CodecError("bzip: block length mismatch")
+    return np.repeat(item_vals.astype(np.uint8), item_counts).tobytes()
 
 
 class BZIPCodec(LosslessCodec):
@@ -197,11 +214,13 @@ class BZIPCodec(LosslessCodec):
             version = 2
         else:
             raise CodecError("bzip: bad or truncated header")
-        orig_len, _block_size = struct.unpack_from("<II", payload, 4)
+        orig_len, block_size = struct.unpack_from("<II", payload, 4)
         offset = 12
         pre = bytearray()
         while offset < len(payload):
-            block, offset = self._decode_block(payload, offset, version)
+            block, offset = self._decode_block(
+                payload, offset, version, block_size
+            )
             pre += block
         data = self._rle1.decode(bytes(pre))
         if len(data) != orig_len:
@@ -209,7 +228,7 @@ class BZIPCodec(LosslessCodec):
         return data
 
     def _decode_block(
-        self, payload: bytes, offset: int, version: int
+        self, payload: bytes, offset: int, version: int, block_size: int
     ) -> tuple[bytes, int]:
         head = 16 if version == 1 else 12
         if offset + head > len(payload):
@@ -223,6 +242,8 @@ class BZIPCodec(LosslessCodec):
             block_len, primary, nsyms = struct.unpack_from(
                 "<III", payload, offset
             )
+        if block_len > block_size:
+            raise CodecError("bzip: block longer than the stream's block size")
         offset += head
         code, offset = self._ctx.huffman_from_bytes(payload, offset)
         if version == 1:
@@ -238,12 +259,8 @@ class BZIPCodec(LosslessCodec):
             offset += plen
         else:
             symbols, offset = decode_interleaved(payload, offset, nsyms, code)
-        mtf = _symbols_to_zero_runs(symbols)
-        last = mtf_inverse(mtf)
-        block = bwt_inverse(last, primary)
-        if len(block) != block_len:
-            raise CodecError("bzip: block length mismatch")
-        return block, offset
+        mtf = _symbols_to_zero_runs(symbols, block_len)
+        return bwt_inverse(mtf_inverse(mtf), primary), offset
 
 
 register_codec("bzip", lambda **kw: BZIPCodec(**kw))

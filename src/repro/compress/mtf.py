@@ -6,16 +6,16 @@ zero-run + Huffman back end then squeezes.  The recurrence is inherently
 sequential *per distinct value*, but not per byte: inside a run of equal
 bytes every byte after the first maps to index 0 (forward) and every zero
 index repeats the current front byte (inverse).  Both directions therefore
-iterate only over run boundaries — a tiny fraction of the stream on BWT
-output — and fill the runs with NumPy batch operations, with the alphabet
-kept as a ``bytearray`` so the lookup/move inside the loop is C-speed.
+iterate only over run boundaries — on the BWT output of a dense 512² frame,
+230 k of 409 k bytes — and fill the runs with NumPy batch operations.  The
+loop touches no NumPy item: it iterates a ``bytes`` object, keeps the
+alphabet as a ``bytearray`` (C-speed ``index``/``pop``/``insert``) and
+collects its output in a ``bytearray``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.compress.base import CodecError
 
 __all__ = ["mtf_forward", "mtf_inverse"]
 
@@ -30,18 +30,19 @@ def mtf_forward(data: bytes) -> bytes:
     starts = np.concatenate(
         ([0], np.flatnonzero(arr[1:] != arr[:-1]) + 1)
     )
-    out = np.zeros(n, dtype=np.uint8)
     alphabet = bytearray(range(256))
     index = alphabet.index
     insert = alphabet.insert
-    indices = np.empty(starts.size, dtype=np.uint8)
-    for i, b in enumerate(arr[starts].tolist()):
+    indices = bytearray()
+    append = indices.append
+    for b in arr[starts].tobytes():
         j = index(b)
-        indices[i] = j
+        append(j)
         if j:
             del alphabet[j]
             insert(0, b)
-    out[starts] = indices
+    out = np.zeros(n, dtype=np.uint8)
+    out[starts] = np.frombuffer(indices, dtype=np.uint8)
     return out.tobytes()
 
 
@@ -55,18 +56,14 @@ def mtf_inverse(data: bytes) -> bytes:
     # move the alphabet, so loop over those alone
     nz = np.flatnonzero(arr)
     alphabet = bytearray(range(256))
+    pop = alphabet.pop
     insert = alphabet.insert
-    vals = np.empty(nz.size, dtype=np.uint8)
-    for i, j in enumerate(arr[nz].tolist()):
-        if j >= len(alphabet):  # pragma: no cover - alphabet is always 256
-            raise CodecError("mtf: index out of alphabet range")
-        b = alphabet[j]
-        vals[i] = b
-        del alphabet[j]
+    vals = bytearray(1)  # the front byte before the first move: 0
+    append = vals.append
+    for j in arr[nz].tobytes():
+        b = pop(j)
         insert(0, b)
-    # segment fill: [0, nz[0]) is the initial front byte 0; [nz[i], nz[i+1])
-    # is vals[i]
-    seg_starts = np.concatenate(([0], nz))
-    seg_vals = np.concatenate(([0], vals))
-    seg_lens = np.diff(np.concatenate((seg_starts, [n])))
-    return np.repeat(seg_vals, seg_lens).astype(np.uint8).tobytes()
+        append(b)
+    # segment fill: [0, nz[0]) is vals[0]; [nz[i], nz[i+1]) is vals[i + 1]
+    lengths = np.diff(nz, prepend=0, append=n)
+    return np.repeat(np.frombuffer(vals, dtype=np.uint8), lengths).tobytes()

@@ -128,6 +128,19 @@ def _lying_bzip_v2() -> bytes:
     )
 
 
+def _lying_bzip_zero_runs() -> bytes:
+    """A 1024-byte block of 35 RUNB digits: a zero run of 2**36 - 2."""
+    symbols = np.array([1] * 35 + [257], np.uint32)
+    code = build_code(np.bincount(symbols, minlength=258))
+    return (
+        b"RBZ2"
+        + struct.pack("<II", 1024, 1024)
+        + struct.pack("<III", 1024, 0, symbols.size)
+        + code.to_bytes()
+        + encode_interleaved(symbols, code)
+    )
+
+
 def _lying_bzip_v1() -> bytes:
     """A one-bit block claiming 2**31 symbols."""
     return (
@@ -147,13 +160,15 @@ def _lying_bzip_v1() -> bytes:
         (_lying_jpeg_v1, lambda p: get_codec("jpeg").decode_image(p)),
         (_lying_bzip_v2, lambda p: get_codec("bzip").decode(p)),
         (_lying_bzip_v1, lambda p: get_codec("bzip").decode(p)),
+        (_lying_bzip_zero_runs, lambda p: get_codec("bzip").decode(p)),
     ],
-    ids=["jpeg-v2", "jpeg-v1", "bzip-v2", "bzip-v1"],
+    ids=["jpeg-v2", "jpeg-v1", "bzip-v2", "bzip-v1", "bzip-v2-zero-runs"],
 )
 def test_length_lying_headers_are_rejected_cheaply(build, decode):
     """Every Huffman code word is at least one bit, so a symbol or block
     count above the payload's bit count is a lie, and acting on it costs
-    time or memory proportional to the lie."""
+    time or memory proportional to the lie.  So is a bzip zero run (its
+    RUNA/RUNB digits) longer than the block it claims to fill."""
     payload = build()
     assert len(payload) < 256
     tracemalloc.start()

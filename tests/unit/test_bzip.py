@@ -22,22 +22,22 @@ class TestZeroRunCoding:
     def test_roundtrip_simple(self):
         data = b"\x00\x00\x00ab\x00c"
         syms = _zero_runs_to_symbols(data)
-        assert _symbols_to_zero_runs(syms) == data
+        assert _symbols_to_zero_runs(syms, len(data)) == data
 
     @pytest.mark.parametrize("run", [1, 2, 3, 4, 5, 7, 8, 15, 16, 100, 255])
     def test_roundtrip_run_lengths(self, run):
         data = b"\x00" * run + b"\x01"
         syms = _zero_runs_to_symbols(data)
-        assert _symbols_to_zero_runs(syms) == data
+        assert _symbols_to_zero_runs(syms, len(data)) == data
 
     def test_trailing_zero_run(self):
         data = b"ab" + b"\x00" * 37
         syms = _zero_runs_to_symbols(data)
-        assert _symbols_to_zero_runs(syms) == data
+        assert _symbols_to_zero_runs(syms, len(data)) == data
 
     def test_empty(self):
         syms = _zero_runs_to_symbols(b"")
-        assert _symbols_to_zero_runs(syms) == b""
+        assert _symbols_to_zero_runs(syms, 0) == b""
 
     def test_ends_with_eob(self):
         syms = _zero_runs_to_symbols(b"xyz")
@@ -50,7 +50,29 @@ class TestZeroRunCoding:
 
     def test_missing_eob_rejected(self):
         with pytest.raises(CodecError):
-            _symbols_to_zero_runs(np.array([5, 6]))
+            _symbols_to_zero_runs(np.array([5, 6]), 2)
+
+    @pytest.mark.parametrize("digits", [13, 35, 63, 64, 70])
+    def test_digit_group_longer_than_the_block_rejected(self, digits):
+        # a run in a 1024-byte block has at most 11 digits and one more is
+        # let through to the length check, so 13 is the shortest group
+        # refused outright; 35 RUNBs ask for 2**36 bytes, 63+ wrap int64
+        syms = np.array([1] * digits + [257])
+        with pytest.raises(CodecError, match="longer than its block"):
+            _symbols_to_zero_runs(syms, 1024)
+
+    @pytest.mark.parametrize(
+        "data, block_len",
+        [(b"\x00" * 5 + b"\x01", 7), (b"\x00" * 5 + b"\x01", 5), (b"", 3), (b"ab", 0)],
+    )
+    def test_output_must_be_the_claimed_block(self, data, block_len):
+        with pytest.raises(CodecError, match="block length mismatch"):
+            _symbols_to_zero_runs(_zero_runs_to_symbols(data), block_len)
+
+    def test_longest_run_of_a_block_decodes(self):
+        for n in (1, 2, 3, 1023, 1024, 65535):
+            data = bytes(n)
+            assert _symbols_to_zero_runs(_zero_runs_to_symbols(data), n) == data
 
 
 class TestBZIPRoundtrip:
@@ -121,6 +143,14 @@ class TestBZIPErrors:
         # corrupt the recorded original length
         enc[4:8] = struct.pack("<I", 5)
         with pytest.raises(CodecError):
+            codec.decode(bytes(enc))
+
+    def test_block_longer_than_stream_block_size_rejected(self):
+        codec = BZIPCodec(block_size=1024)
+        enc = bytearray(codec.encode(bytes(range(256)) * 6))
+        assert codec.decode(bytes(enc)) == bytes(range(256)) * 6
+        enc[8:12] = struct.pack("<I", 1023)  # the first block holds 1024
+        with pytest.raises(CodecError, match="block size"):
             codec.decode(bytes(enc))
 
     def test_block_size_validation(self):

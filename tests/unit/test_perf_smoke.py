@@ -1,5 +1,5 @@
-"""Codec-throughput smoke floors and the render skipping ratio
-(``make bench-smoke``).
+"""Codec-throughput smoke floors, the block-sort ratios and the render
+skipping ratio (``make bench-smoke``).
 
 These run inside the normal unit suite but are additionally selectable with
 ``-m perf_smoke`` for a seconds-long guardrail.  The floors are set an
@@ -29,14 +29,16 @@ FLOORS = [
 
 # (codec, encode-MB/s floor) — same philosophy for the vectorized encode
 # path: the synthetic frame below measures jpeg ~74, jpeg+lzo ~52, rle ~43,
-# lzo ~15, bzip ~1.7 MB/s on a laptop-class core, so these floors only trip
-# when a per-token Python loop (or per-frame scratch churn) sneaks back in.
+# lzo ~15 MB/s on a laptop-class core, and bzip 2.2 MB/s (1.5 before its
+# block sort stopped re-sorting settled rotations) on a shared 2-vCPU Xeon
+# VM, so these floors only trip when a per-token Python loop (or
+# per-frame scratch churn) sneaks back in.
 ENCODE_FLOORS = [
     ("jpeg", 15.0),
     ("jpeg+lzo", 10.0),
     ("rle", 10.0),
     ("lzo", 3.0),
-    ("bzip", 0.4),
+    ("bzip", 0.7),
 ]
 
 
@@ -79,6 +81,56 @@ def test_encode_throughput_floor(name, floor):
     assert len(enc) > 0
     mbps = img.nbytes / best / 1e6
     assert mbps >= floor, f"{name}: {mbps:.1f} MB/s below {floor} MB/s floor"
+
+
+def test_block_sort_beats_the_per_byte_reference():
+    """Block-sort guardrail, as ratios against ``codec_reference`` (the
+    sort that re-sorted every rotation every pass and the inverse that
+    walked one byte per Python iteration) on one dense block: the RLE1
+    output of ``codec_wire``'s vortex frame at 256², 103 kB.  Measured
+    4.6x forward and 7.6x inverse; under 2.5x / 3x means settled
+    rotations are being re-sorted or the walk went per-byte again."""
+    import codec_reference
+
+    from repro.compress.bwt import bwt_forward, bwt_inverse
+    from repro.compress.rle import RLECodec
+    from repro.data import turbulent_vortex
+    from repro.render import Camera, TransferFunction, render_volume, to_display_rgb
+
+    camera = Camera(image_size=(256, 256), azimuth=30.0, elevation=20.0)
+    volume = turbulent_vortex(scale=0.5).volume(10)
+    image = to_display_rgb(render_volume(volume, TransferFunction.jet(), camera))
+    block = RLECodec(min_run=4).encode(image.tobytes())
+    last, primary = codec_reference.bwt_forward(block)
+    assert bwt_forward(block) == (last, primary)
+    stages = {
+        "forward": (2.5, (block,), codec_reference.bwt_forward, bwt_forward),
+        "inverse": (3.0, (last, primary), codec_reference.bwt_inverse, bwt_inverse),
+    }
+    best = {(stage, side): float("inf") for stage in stages for side in (0, 1)}
+
+    def holds():
+        return all(
+            best[stage, 0] >= bound * best[stage, 1]
+            for stage, (bound, *_) in stages.items()
+        )
+
+    # interleaved best of 3, and up to three rounds more while a bound is
+    # missed: a shared host has slow moments longer than one sort
+    for round_ in range(6):
+        if round_ >= 3 and holds():
+            break
+        for stage, (_, args, *sides) in stages.items():
+            for side, fn in enumerate(sides):
+                t0 = time.perf_counter()
+                fn(*args)
+                best[stage, side] = min(best[stage, side], time.perf_counter() - t0)
+    report = ", ".join(
+        f"{stage} {best[stage, 0] * 1e3:.1f}/{best[stage, 1] * 1e3:.1f} ms "
+        f"({best[stage, 0] / best[stage, 1]:.2f}x, bound {bound}x)"
+        for stage, (bound, *_) in stages.items()
+    )
+    assert holds(), report + " (reference/change)"
 
 
 def test_sparse_frame_renders_faster_than_a_dense_one():
