@@ -1,32 +1,31 @@
-"""Persistent codec contexts: cross-frame caches for the decode fast path.
+"""Persistent codec contexts: cross-frame caches for the codec fast paths.
 
-The frames of a time series are compressed independently, but in practice
-their entropy-coding side tables barely change: a smooth animation re-derives
-near-identical Huffman code tables frame after frame, the JPEG quantization
-matrices are a pure function of the quality knob, and every frame needs the
-same scratch arrays.  The paper's display workstation must decompress at the
-arrival rate of the stream (§4.2, Table 2), so rebuilding those structures
-per frame is pure waste on the critical path.
+The frames of a time series are compressed independently, but their side
+tables repeat: a replay presents the same Huffman code tables pass after
+pass, the JPEG quantization matrices are a pure function of the quality
+knob, and every frame needs the same scratch arrays.  The paper's display
+workstation must decompress at the arrival rate of the stream (§4.2,
+Table 2), so rebuilding those structures per frame is waste on the
+critical path.  A :class:`CodecContext` owns caches keyed on *content*,
+never on frame identity:
 
-The same argument holds in reverse on the encode side: the serve layer's
-cold cache fills re-derive near-identical Huffman codes from near-identical
-symbol statistics, and every plane needs the same block/bit scratch.  A
-:class:`CodecContext` therefore owns caches for both directions, each keyed
-on *content*, never on frame identity:
-
-- **Huffman codes** keyed by their serialized table bytes — two planes (or
-  two frames) carrying byte-identical tables share one
+- **Huffman decode tables** keyed by their serialized table bytes — two
+  planes (or two frames) carrying byte-identical tables share one
   :class:`~repro.compress.huffman.HuffmanCode` instance, and therefore one
-  decode lookup table (the LUT itself is memoized on the instance).
-- **Huffman codes by frequency table** (:meth:`CodecContext.code_for_freqs`)
-  — the encoder-side dual of the above: identical symbol statistics reuse
-  one code instance and its memoized emission LUTs.
+  packed decode LUT (memoized on the instance).  The cache is bounded by
+  bytes, not entries: a 16-bit table's LUT is 256 KB, a typical JPEG
+  table's a few KB.  The default budget holds a 64-frame replay cycle of
+  128² frames several times over.
 - **Quantization matrices** keyed by JPEG quality.
 - **Scratch buffers** keyed by ``(tag, shape, dtype)`` and **bit sinks**
   keyed by tag — reusable work arrays for the entropy coders so
   steady-state encoding and decoding allocate nothing large.
 
-Contexts are deliberately dumb: plain dicts with a size cap and hit/build
+The encoders build their Huffman codes straight from each plane's
+frequencies: new frames rarely repeat a frequency table exactly, and a
+build costs tens of microseconds.
+
+Contexts are deliberately dumb: plain dicts with size caps and hit/build
 counters (``stats``), safe to share across every codec of one connection.
 Sharing a context across *threads* decoding concurrently is not supported;
 give each decoding thread its own.
@@ -44,22 +43,26 @@ __all__ = ["CodecContext"]
 
 
 class CodecContext:
-    """Reusable decode-side state shared across the frames of a stream.
+    """Reusable codec state shared across the frames of a stream.
 
     Parameters
     ----------
-    max_codes:
-        Cap on cached Huffman codes (FIFO eviction).  Each entry costs a
-        few KB (code arrays plus its memoized decode LUT).
+    max_code_bytes:
+        Byte budget of the Huffman decode-table cache (FIFO eviction).
+        An entry costs its table bytes, its length and code arrays and its
+        packed decode LUT (:attr:`HuffmanCode.nbytes`); ``code_bytes`` is
+        what the cache holds now.  A table bigger than the whole budget is
+        decoded but not kept.
     max_buffers:
         Cap on pooled scratch buffers.
     """
 
-    def __init__(self, max_codes: int = 256, max_buffers: int = 32):
-        self.max_codes = max_codes
+    def __init__(self, max_code_bytes: int = 4 << 20, max_buffers: int = 32):
+        self.max_code_bytes = max_code_bytes
         self.max_buffers = max_buffers
         self._codes: dict[bytes, object] = {}
-        self._freq_codes: dict[bytes, object] = {}
+        #: bytes held by ``_codes``' entries (keys, arrays and LUTs)
+        self.code_bytes = 0
         self._quant: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._buffers: dict[tuple, np.ndarray] = {}
         self._sinks: dict[str, object] = {}
@@ -70,8 +73,6 @@ class CodecContext:
             "quant_hits": 0,
             "buffer_allocs": 0,
             "buffer_hits": 0,
-            "encode_code_builds": 0,
-            "encode_code_hits": 0,
         }
 
     # -- Huffman code tables ------------------------------------------------
@@ -81,7 +82,7 @@ class CodecContext:
 
         Returns ``(code, offset_past_table)``.  Identical serialized tables
         (the common case across the frames of a time series) resolve to one
-        shared, LUT-memoized instance.
+        shared, LUT-memoized instance while the byte budget holds them.
         """
         from repro.compress.huffman import HuffmanCode
 
@@ -101,34 +102,14 @@ class CodecContext:
         if parsed_end != end:  # pragma: no cover - defensive
             raise CodecError("huffman: inconsistent table length")
         self.stats["huffman_code_builds"] += 1
-        if len(self._codes) >= self.max_codes:
-            self._codes.pop(next(iter(self._codes)))
-        self._codes[key] = code
+        cost = len(key) + code.nbytes
+        if cost <= self.max_code_bytes:
+            while self.code_bytes + cost > self.max_code_bytes:
+                old_key = next(iter(self._codes))
+                self.code_bytes -= len(old_key) + self._codes.pop(old_key).nbytes
+            self._codes[key] = code
+            self.code_bytes += cost
         return code, end
-
-    def code_for_freqs(self, freqs: np.ndarray):
-        """Like :func:`~repro.compress.huffman.build_code`, memoized.
-
-        Keyed on the frequency table bytes: a smooth animation presents
-        near-identical symbol statistics frame after frame, so the heap
-        construction (the only remaining per-plane Python loop on the
-        encode path) collapses to a dict hit in steady state.  The
-        returned instance carries its memoized encode/decode LUTs.
-        """
-        from repro.compress.huffman import build_code
-
-        freqs = np.ascontiguousarray(freqs, dtype=np.int64)
-        key = freqs.tobytes()
-        code = self._freq_codes.get(key)
-        if code is not None:
-            self.stats["encode_code_hits"] += 1
-            return code
-        code = build_code(freqs)
-        self.stats["encode_code_builds"] += 1
-        if len(self._freq_codes) >= self.max_codes:
-            self._freq_codes.pop(next(iter(self._freq_codes)))
-        self._freq_codes[key] = code
-        return code
 
     # -- quantization matrices ---------------------------------------------
 
@@ -184,23 +165,24 @@ class CodecContext:
         return sink
 
     def hit_ratio(self) -> float:
-        """Fraction of lookups served from cache across all three caches.
+        """Fraction of lookups served from cache across the decode-table,
+        quantization and scratch caches.
 
         1.0 means steady state (no table was rebuilt, no buffer
-        reallocated); 0.0 on a fresh context.  The serving layer exports
-        this per viewer session via ``ServeStats``.
+        reallocated); 0.0 on a fresh context.  Encoders build their codes
+        uncached, so only decode-table lookups count on the Huffman side.
+        The serving layer exports this per viewer session via
+        ``ServeStats``, beside ``code_bytes`` (``decode_cache_bytes``).
         """
         hits = (
             self.stats["huffman_code_hits"]
             + self.stats["quant_hits"]
             + self.stats["buffer_hits"]
-            + self.stats["encode_code_hits"]
         )
         builds = (
             self.stats["huffman_code_builds"]
             + self.stats["quant_builds"]
             + self.stats["buffer_allocs"]
-            + self.stats["encode_code_builds"]
         )
         total = hits + builds
         return hits / total if total else 0.0
@@ -208,7 +190,7 @@ class CodecContext:
     def clear(self) -> None:
         """Drop every cached table and buffer (stats are kept)."""
         self._codes.clear()
-        self._freq_codes.clear()
+        self.code_bytes = 0
         self._quant.clear()
         self._buffers.clear()
         self._sinks.clear()

@@ -2,11 +2,14 @@
 
 Used as the entropy-coding back end of both the BZIP pipeline
 (:mod:`repro.compress.bzip`) and the JPEG-style codec
-(:mod:`repro.compress.jpeg`).  Code construction is the classic two-queue
-Huffman algorithm with a frequency-flattening retry to enforce a maximum
-code length of :data:`MAX_BITS`, so the decoder can be a single
-``2**MAX_BITS``-entry lookup table; encoding and table construction are
-vectorized.
+(:mod:`repro.compress.jpeg`).  Code lengths come from the classic
+two-queue Huffman algorithm (one sort of the used symbols, then one pass of
+merges) with a frequency-flattening retry to enforce a maximum code length
+of :data:`MAX_BITS`, so the decoder can be a single ``2**MAX_BITS``-entry
+lookup table.  Canonical codes are one cumsum over the lengths, and the
+decode table is one ``np.repeat`` of packed ``(symbol << 5 | length)``
+entries, each repeated over the windows its code covers; encoding is
+vectorized too.
 
 Two stream layouts exist:
 
@@ -22,15 +25,15 @@ Two stream layouts exist:
   trick (Figure 10) applied *inside* a single stream, cutting the Python
   iteration count by ``K``.
 
-Decode lookup tables are memoized on the :class:`HuffmanCode` instance
+The packed decode table is memoized on the :class:`HuffmanCode` instance
 (built at most once per distinct code object; :data:`TABLE_BUILDS` counts
 builds for regression tests), and :class:`~repro.compress.context.
-CodecContext` deduplicates instances across frames by table bytes.
+CodecContext` deduplicates instances across frames by table bytes, up to a
+byte budget.
 """
 
 from __future__ import annotations
 
-import heapq
 import struct
 from dataclasses import dataclass
 
@@ -53,44 +56,55 @@ __all__ = [
 #: Longest permitted code, bounding decoder table size to 64 Ki entries.
 MAX_BITS = 16
 
-#: Default lane count for the interleaved layout (the per-lane byte
-#: alignment plus the 2-byte-per-lane header is noise beyond ~64 symbols
-#: per lane, and 128 lanes already amortize the Python loop to irrelevance).
+#: Most lanes the interleaved layout deals a stream into when the caller
+#: names no count: :func:`_lane_count` gives one lane per 8 symbols up to
+#: this cap, and each lane costs a header entry plus a byte-alignment pad.
 DEFAULT_LANES = 128
 
 #: Decode-table builds since import — regression tests assert memoization
 #: (one build per distinct table) against this counter.
 TABLE_BUILDS = 0
 
-#: Encode-table builds since import, same contract as :data:`TABLE_BUILDS`.
-ENCODE_TABLE_BUILDS = 0
-
 
 def _huffman_lengths(freqs: np.ndarray) -> np.ndarray:
-    """Code length per symbol for the given frequency table (0 = unused)."""
+    """Code length per symbol for the given frequency table (0 = unused).
+
+    The two-queue method: leaves sorted by ``(freq, symbol)`` in one
+    queue, merged nodes in creation order (their weights never decrease)
+    in the other, and each merge takes the two lightest fronts, a leaf
+    before a merged node on a tie.  That is exactly the merge order of a
+    heap keyed ``(weight, symbol)`` for leaves and ``(weight, size +
+    creation index)`` for merged nodes, so the lengths are too.
+    """
     nz = np.flatnonzero(freqs)
     lengths = np.zeros(freqs.size, dtype=np.uint8)
-    if nz.size == 0:
+    n = nz.size
+    if n <= 1:
+        lengths[nz] = 1
         return lengths
-    if nz.size == 1:
-        lengths[nz[0]] = 1
-        return lengths
-    # Heap of (weight, tiebreak, leaf-symbols). Merging whole leaf lists is
-    # fine at our alphabet sizes (<= ~64K symbols, typically <= 300).
-    heap: list[tuple[int, int, list[int]]] = [
-        (int(freqs[s]), int(s), [int(s)]) for s in nz
-    ]
-    heapq.heapify(heap)
-    tie = int(freqs.size)
-    while len(heap) > 1:
-        w1, _, l1 = heapq.heappop(heap)
-        w2, _, l2 = heapq.heappop(heap)
-        for s in l1:
-            lengths[s] += 1
-        for s in l2:
-            lengths[s] += 1
-        heapq.heappush(heap, (w1 + w2, tie, l1 + l2))
-        tie += 1
+    leaves = nz[np.argsort(freqs[nz], kind="stable")]
+    leaf_w = freqs[leaves].tolist()
+    merged_w: list[int] = []
+    # node ids: leaves 0..n-1 in queue order, merge k is node n + k
+    parent = [0] * (2 * n - 2)
+    i = j = 0
+    for k in range(n, 2 * n - 1):
+        w = 0
+        for _ in (0, 1):
+            if i < n and (j == k - n or leaf_w[i] <= merged_w[j]):
+                w += leaf_w[i]
+                parent[i] = k
+                i += 1
+            else:
+                w += merged_w[j]
+                parent[n + j] = k
+                j += 1
+        merged_w.append(w)
+    # a merge's parent is a later merge: walk them root-first
+    depth = [0] * (n - 1)
+    for k in range(n - 3, -1, -1):
+        depth[k] = depth[parent[n + k] - n] + 1
+    lengths[leaves] = [depth[p - n] + 1 for p in parent[:n]]
     return lengths
 
 
@@ -159,87 +173,77 @@ class HuffmanCode:
 
     @classmethod
     def from_lengths(cls, lengths: np.ndarray) -> "HuffmanCode":
-        """Assign canonical codes (shorter first, then symbol order)."""
+        """Assign canonical codes (shorter first, then symbol order).
+
+        In that order a code, left-aligned to the longest length, is the
+        sum of the window spans of the codes before it: one cumsum.  The
+        lengths are over-subscribed iff the spans overrun the windows.
+        """
         lengths = np.asarray(lengths, dtype=np.uint8)
         codes = np.zeros(lengths.size, dtype=np.uint32)
-        code = 0
-        prev_len = 0
-        order = np.lexsort((np.arange(lengths.size), lengths))
-        for s in order:
-            ln = int(lengths[s])
-            if ln == 0:
-                continue
-            code <<= ln - prev_len
-            codes[s] = code
-            code += 1
-            prev_len = ln
-        if prev_len and code > (1 << prev_len):
+        order, spans, width = _canonical_order(lengths)
+        starts = np.cumsum(spans) - spans
+        if order.size and int(starts[-1] + spans[-1]) > 1 << width:
             raise CodecError("huffman: over-subscribed code lengths")
+        codes[order] = starts // spans
         return cls(lengths=lengths, codes=codes)
 
-    def decode_tables(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """``(symbol, length)`` lookup tables indexed by a peeked window.
-
-        Memoized: the tables are built once per code instance and reused
-        by every subsequent decode (the instance is immutable).  Combined
-        with :meth:`CodecContext.huffman_from_bytes` deduplication this
-        yields one build per *distinct* table across a whole time series.
-        """
-        cached = getattr(self, "_decode_tables_cache", None)
-        if cached is None:
-            cached = self._build_decode_tables()
-            object.__setattr__(self, "_decode_tables_cache", cached)
-        return cached
+    @property
+    def nbytes(self) -> int:
+        """Bytes this code holds once its decode table is built."""
+        return self.lengths.nbytes + self.codes.nbytes + (4 << max(self.max_length, 1))
 
     def packed_decode_table(self) -> tuple[np.ndarray, int]:
         """``(symbol << 5 | length)`` per peeked window, plus the width.
 
-        Derived from :meth:`decode_tables` (and memoized the same way);
-        fusing both lookups into one ``uint32`` gather halves the table
-        reads in the interleaved decoder's lockstep loop.  Length fits in
-        5 bits (:data:`MAX_BITS` is 16); unused windows pack to 0.
+        Memoized on the (immutable) instance; with
+        :meth:`CodecContext.huffman_from_bytes` deduplication that is one
+        build per *distinct* table across a whole time series.  Canonical
+        codes tile the windows in ``(length, symbol)`` order, so the table
+        is one ``np.repeat`` of the packed entries by their spans; windows
+        past an incomplete code's last one pack to 0.
         """
         cached = getattr(self, "_packed_table_cache", None)
         if cached is None:
-            lut_sym, lut_len, width = self.decode_tables()
-            cached = ((lut_sym << np.uint32(5)) | lut_len, width)
+            global TABLE_BUILDS
+            TABLE_BUILDS += 1
+            order, spans, width = _canonical_order(self.lengths)
+            packed = (order.astype(np.uint32) << np.uint32(5)) | self.lengths[order]
+            lut = np.zeros(1 << width, dtype=np.uint32)
+            lut[: spans.sum()] = np.repeat(packed, spans)
+            cached = (lut, width)
             object.__setattr__(self, "_packed_table_cache", cached)
         return cached
+
+    def decode_tables(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """``(symbol, length)`` lookup tables indexed by a peeked window,
+        split out of :meth:`packed_decode_table` (only that one is kept)
+        for the decoders that walk one symbol at a time."""
+        lut, width = self.packed_decode_table()
+        return lut >> np.uint32(5), lut & np.uint32(31), width
 
     def encode_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """``(codes, lengths)`` emission LUTs indexed by symbol.
 
-        The encode-side mirror of :meth:`decode_tables`: ``codes`` is
-        ``uint32`` and ``lengths`` ``int64`` (the dtypes the packing
-        kernel consumes directly, so a symbol gather is the only work per
-        emitted code word).  Memoized on the instance; combined with
-        :meth:`CodecContext.code_for_freqs` deduplication this is one
-        build per *distinct* code across a whole time series.
+        ``codes`` is ``uint32`` and ``lengths`` ``int64`` (the dtypes the
+        packing kernel consumes directly, so a symbol gather is the only
+        work per emitted code word).  Memoized on the instance.
         """
         cached = getattr(self, "_encode_tables_cache", None)
         if cached is None:
-            global ENCODE_TABLE_BUILDS
-            ENCODE_TABLE_BUILDS += 1
-            cached = (
-                np.ascontiguousarray(self.codes, dtype=np.uint32),
-                self.lengths.astype(np.int64),
-            )
+            cached = (self.codes, self.lengths.astype(np.int64))
             object.__setattr__(self, "_encode_tables_cache", cached)
         return cached
 
-    def _build_decode_tables(self) -> tuple[np.ndarray, np.ndarray, int]:
-        global TABLE_BUILDS
-        TABLE_BUILDS += 1
-        width = max(self.max_length, 1)
-        lut_sym = np.zeros(1 << width, dtype=np.uint32)
-        lut_len = np.zeros(1 << width, dtype=np.uint32)
-        for s in np.flatnonzero(self.lengths):
-            ln = int(self.lengths[s])
-            base = int(self.codes[s]) << (width - ln)
-            span = 1 << (width - ln)
-            lut_sym[base : base + span] = s
-            lut_len[base : base + span] = ln
-        return lut_sym, lut_len, width
+
+def _canonical_order(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Used symbols in ``(length, symbol)`` order, the windows of the
+    longest length (at least 1 bit) each one's code covers, and that
+    length."""
+    order = np.argsort(lengths, kind="stable")[lengths.size - np.count_nonzero(lengths):]
+    ln = lengths[order].astype(np.int64)
+    width = max(int(ln[-1]) if ln.size else 0, 1)
+    return order, 1 << (width - ln), width
 
 
 def build_code(freqs: np.ndarray, max_bits: int = MAX_BITS) -> HuffmanCode:

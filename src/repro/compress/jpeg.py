@@ -49,6 +49,7 @@ from repro.compress.dct import (
 )
 from repro.compress.huffman import (
     HuffmanCode,
+    build_code,
     decode_interleaved,
     interleave_entries,
     interleave_header,
@@ -514,10 +515,8 @@ class JPEGCodec(Codec):
             dsz = dc_sizes[lo:hi]
             vsz = val_sizes[vlo:vhi]
             ac_p = ac_syms[tstart:tend]
-            dc_code = self._ctx.code_for_freqs(np.bincount(dsz, minlength=16))
-            ac_code = self._ctx.code_for_freqs(
-                np.bincount(ac_p, minlength=256)
-            )
+            dc_code = build_code(np.bincount(dsz, minlength=16))
+            ac_code = build_code(np.bincount(ac_p, minlength=256))
             dv, dw, dnb, dk, dlen = interleave_entries(
                 dsz, dc_code, self.lanes
             )

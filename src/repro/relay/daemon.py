@@ -829,6 +829,9 @@ class FrameRelay:  # speaks: relay
         self._closing.set()
         if self._prefetcher is not None:
             self._prefetcher.stop()
+            # it holds the relay: let go, so a closed relay is freed
+            # when dropped, not at the next cycle collection
+            self._prefetcher = None
         for link in peers:
             if polite:
                 link.handle.leave()

@@ -316,6 +316,7 @@ class ViewerSession(Session):  # speaks: broker
         return replace(
             super().stats_snapshot(),
             decode_context_hit_ratio=self.codec_context.hit_ratio(),
+            decode_cache_bytes=self.codec_context.code_bytes,
         )
 
 

@@ -42,6 +42,8 @@ class SessionStats:
     acks: int = 0
     transitions: list[TierTransition] = field(default_factory=list)
     decode_context_hit_ratio: float = 0.0
+    #: bytes the viewer's decode-table cache holds (CodecContext.code_bytes)
+    decode_cache_bytes: int = 0
     active: bool = True
     #: times this logical session reconnected and resumed its stream
     reconnects: int = 0

@@ -1,15 +1,19 @@
-"""The block-sort and move-to-front stages ``repro.compress.bwt`` and
-``repro.compress.mtf`` replaced, kept as test oracles.
+"""The block-sort, move-to-front and Huffman table builders the codecs
+replaced, kept as test oracles.
 
 The forward transform re-sorts every rotation on every doubling pass and
 closes with a ``lexsort``; the inverse walks the last-first chain one byte
 per Python iteration; both MTF directions look bytes up through NumPy
-item access.  Tests require the codec's stages to give exactly these
-bytes.  Not collected by pytest (no ``test_`` prefix); import it as
+item access.  The Huffman builders merge Python lists on a ``heapq``,
+assign canonical codes one symbol at a time and fill the decode table one
+code span at a time.  Tests require the codec's stages to give exactly
+these bytes, lengths, codes and tables.  Not collected by pytest (no ``test_`` prefix); import it as
 ``codec_reference`` (``tests/`` is on ``sys.path`` through conftest.py).
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -148,3 +152,78 @@ def mtf_inverse(data: bytes) -> bytes:
     seg_vals = np.concatenate(([0], vals))
     seg_lens = np.diff(np.concatenate((seg_starts, [n])))
     return np.repeat(seg_vals, seg_lens).astype(np.uint8).tobytes()
+
+
+def huffman_lengths(freqs: np.ndarray) -> np.ndarray:
+    """Code length per symbol for the given frequency table (0 = unused)."""
+    nz = np.flatnonzero(freqs)
+    lengths = np.zeros(freqs.size, dtype=np.uint8)
+    if nz.size == 0:
+        return lengths
+    if nz.size == 1:
+        lengths[nz[0]] = 1
+        return lengths
+    # Heap of (weight, tiebreak, leaf-symbols). Merging whole leaf lists is
+    # fine at our alphabet sizes (<= ~64K symbols, typically <= 300).
+    heap: list[tuple[int, int, list[int]]] = [
+        (int(freqs[s]), int(s), [int(s)]) for s in nz
+    ]
+    heapq.heapify(heap)
+    tie = int(freqs.size)
+    while len(heap) > 1:
+        w1, _, l1 = heapq.heappop(heap)
+        w2, _, l2 = heapq.heappop(heap)
+        for s in l1:
+            lengths[s] += 1
+        for s in l2:
+            lengths[s] += 1
+        heapq.heappush(heap, (w1 + w2, tie, l1 + l2))
+        tie += 1
+    return lengths
+
+
+def build_lengths(freqs: np.ndarray, max_bits: int = 16) -> np.ndarray:
+    """``build_code``'s length-limiting retry over :func:`huffman_lengths`."""
+    freqs = np.asarray(freqs, dtype=np.int64).copy()
+    while True:
+        lengths = huffman_lengths(freqs)
+        if lengths.max(initial=0) <= max_bits:
+            return lengths
+        nz = freqs > 0
+        freqs[nz] = (freqs[nz] + 1) >> 1
+
+
+def canonical_codes(lengths: np.ndarray) -> np.ndarray:
+    """Assign canonical codes (shorter first, then symbol order)."""
+    lengths = np.asarray(lengths, dtype=np.uint8)
+    codes = np.zeros(lengths.size, dtype=np.uint32)
+    code = 0
+    prev_len = 0
+    order = np.lexsort((np.arange(lengths.size), lengths))
+    for s in order:
+        ln = int(lengths[s])
+        if ln == 0:
+            continue
+        code <<= ln - prev_len
+        codes[s] = code
+        code += 1
+        prev_len = ln
+    if prev_len and code > (1 << prev_len):
+        raise CodecError("huffman: over-subscribed code lengths")
+    return codes
+
+
+def packed_decode_table(
+    lengths: np.ndarray, codes: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """``(symbol << 5 | length)`` per peeked window, plus the width."""
+    width = max(int(lengths.max(initial=0)), 1)
+    lut_sym = np.zeros(1 << width, dtype=np.uint32)
+    lut_len = np.zeros(1 << width, dtype=np.uint32)
+    for s in np.flatnonzero(lengths):
+        ln = int(lengths[s])
+        base = int(codes[s]) << (width - ln)
+        span = 1 << (width - ln)
+        lut_sym[base : base + span] = s
+        lut_len[base : base + span] = ln
+    return (lut_sym << np.uint32(5)) | lut_len, width

@@ -60,13 +60,55 @@ class TestHuffmanDedup:
             ctx.huffman_from_bytes(payload[:2])
 
     def test_fifo_eviction_bounded(self):
-        small = CodecContext(max_codes=4)
+        """The cache holds at most its byte budget, counting each entry's
+        table bytes, arrays and packed LUT, and evicts oldest first."""
+        payloads = []
         for seed in range(10):
             rng = np.random.default_rng(seed)
             data = rng.integers(0, 8, 200, dtype=np.uint8).tobytes()
-            p, _ = _table_payload(data)
+            payloads.append(_table_payload(data)[0])
+        costs = [
+            len(p) + CodecContext().huffman_from_bytes(p)[0].nbytes
+            for p in payloads
+        ]
+        budget = sum(costs[:4])
+        small = CodecContext(max_code_bytes=budget)
+        for p in payloads:
             small.huffman_from_bytes(p)
-        assert len(small._codes) <= 4
+            held = sum(len(k) + c.nbytes for k, c in small._codes.items())
+            assert small.code_bytes == held <= budget
+        assert 0 < len(small._codes) < len(payloads)
+        assert list(small._codes) == payloads[-len(small._codes):]
+        small.clear()
+        assert small.code_bytes == 0
+
+    def test_table_larger_than_the_budget_is_decoded_but_not_kept(self):
+        payload, code = _table_payload()
+        tiny = CodecContext(max_code_bytes=64)
+        got, end = tiny.huffman_from_bytes(payload)
+        assert np.array_equal(got.codes, code.codes) and end == len(payload)
+        assert not tiny._codes and tiny.code_bytes == 0
+
+    def test_replay_cycle_builds_each_table_once(self, ctx):
+        """A cyclic replay of more distinct tables than the old 256-entry
+        cap (the relay replays a 64-frame timeline carrying ~272) builds
+        nothing on its second pass: the default budget holds the cycle."""
+        rng = np.random.default_rng(3)
+        payloads = []
+        for _ in range(300):
+            freqs = rng.integers(0, 50, 256) * (rng.random(256) < 0.12)
+            freqs[rng.integers(256)] += 1
+            payloads.append(build_code(freqs).to_bytes())
+        assert len(set(payloads)) > 256
+        for p in payloads:
+            ctx.huffman_from_bytes(p)[0].packed_decode_table()
+        builds = ctx.stats["huffman_code_builds"]
+        luts = huffman.TABLE_BUILDS
+        for p in payloads:
+            ctx.huffman_from_bytes(p)[0].packed_decode_table()
+        assert ctx.stats["huffman_code_builds"] == builds
+        assert huffman.TABLE_BUILDS == luts
+        assert ctx.code_bytes <= ctx.max_code_bytes
 
 
 class TestSteadyStateDecode:

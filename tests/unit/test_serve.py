@@ -155,13 +155,13 @@ def test_reconnect_churn_leaks_neither_threads_nor_snapshots(kind):
         assert departed == 1
 
 
-@pytest.mark.parametrize("kind", ("broker", "router2"))
+@pytest.mark.parametrize("kind", ("broker", "router2", "relay"))
 def test_closed_broker_is_freed_without_the_cycle_collector(kind):
     """The host's hooks are its owner's bound methods — a reference
-    cycle while serving.  Closing must break it: a closed broker (its
-    cache, its history, its pool's queue threads) goes away when
-    dropped, not at some later collection.  (A relay is in a cycle
-    with its prefetcher besides, so it is not asserted here.)"""
+    cycle while serving, and a relay's prefetcher holds the relay
+    besides.  Closing must break both: a closed broker or relay (its
+    cache or store, its history, its pool's queue threads) goes away
+    when dropped, not at some later collection."""
     gc.collect()
     gc.disable()
     try:
@@ -310,6 +310,22 @@ class TestBroker:
                 assert frame.codec == "lzo"
                 assert np.array_equal(frame.image, image)
             assert [f.frame_id for f in got] == [0, 1, 2, 3]
+            handle.leave()
+
+    def test_session_stats_report_the_decode_cache(self):
+        """A decoding viewer's stats carry its decode-table cache's bytes
+        beside its hit ratio; replaying the same frames hits it."""
+        frames = synthetic_frames(3, size=32)
+        ladder = TierLadder((QualityTier("hq", "jpeg", quality=75),))
+        with SessionBroker(ladder=ladder) as broker:
+            handle = broker.join("v0")
+            for fid, image in enumerate(frames + frames):
+                broker.publish(image, time_step=fid % 3, frame_id=fid)
+                assert handle.next_frame(timeout=5.0).image is not None
+            stats = broker.stats().sessions["v0"]
+            ctx = handle.codec_context
+            assert stats.decode_cache_bytes == ctx.code_bytes > 0
+            assert stats.decode_context_hit_ratio == ctx.hit_ratio() > 0
             handle.leave()
 
     def test_encode_work_independent_of_viewer_count(self):

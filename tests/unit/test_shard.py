@@ -17,6 +17,8 @@ The properties the scale-out layer promises:
 
 import os
 import signal
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -315,6 +317,36 @@ class TestEncodePool:
                 get_codec("rle").decode_image(payload), image
             )
             assert pool.stats_snapshot()["inline_fallbacks"] == 1
+
+    def test_closed_pool_leaves_no_process_behind(self):
+        """Once an interpreter that ran a pool exits, no process the pool
+        started is left: its workers are reaped at close, and the
+        resource tracker -- which CPython lets outlive its interpreter,
+        reparented until something reaps it -- is stopped and reaped at
+        exit.  A fresh interpreter, so no other test's pool shares it."""
+        script = (
+            "import numpy as np\n"
+            "from multiprocessing import resource_tracker\n"
+            "from repro.serve import EncodePool\n"
+            "with EncodePool(2) as pool:\n"
+            "    pool.encode(np.zeros((16, 16, 3), np.uint8), 'rle')\n"
+            "    pids = [w.process.pid for w in pool._workers]\n"
+            "print(*pids, resource_tracker._resource_tracker._pid)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        pids = [int(pid) for pid in done.stdout.split()]
+        assert len(pids) == 3
+        alive = []
+        for pid in pids:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                continue
+            alive.append(pid)
+        assert not alive, f"processes {alive} outlived the interpreter"
 
     def test_closed_pool_rejects_encodes(self):
         pool = EncodePool(1)
