@@ -9,15 +9,14 @@ provides that deployment shape over real sockets: a
 protocol as the in-process channels (4-byte big-endian length prefix per
 frame), introduced by a ``HelloMessage`` declaring the peer's role.
 
-The returned endpoints implement the :class:`FramedConnection` interface
-(``send``/``recv``/``close`` + traffic log), so
+A :class:`TcpConnection` is a :class:`~repro.net.transport.FramedConnection`
+whose raw ops are socket reads and writes, so it inherits the one
+``send``/``recv`` (the ``op_timeout`` default and the traffic log), and
 :class:`~repro.daemon.renderer_interface.RendererInterface` and
 :class:`~repro.daemon.display_interface.DisplayInterface` work over TCP
-unchanged via their ``connection=`` hook.  Like the in-process
-endpoints, a :class:`TcpConnection` retransmits
-:class:`~repro.net.transport.TransientNetworkError` failures under its
-:class:`~repro.net.transport.RetryPolicy` and honours a per-operation
-``op_timeout`` default.
+unchanged via their ``connection=`` hook.  A socket never loses a frame,
+so nothing here retransmits; a WAN-shaped link wraps the endpoint in a
+:class:`~repro.net.faults.FaultyConnection`, which does.
 """
 
 from __future__ import annotations
@@ -25,16 +24,10 @@ from __future__ import annotations
 import socket
 import struct
 import threading
-import time
 
 from repro.daemon.display_daemon import DisplayDaemon
 from repro.daemon.protocol import HelloMessage, decode_message
-from repro.net.transport import (
-    ChannelClosed,
-    RetryPolicy,
-    TrafficLog,
-    TransientNetworkError,
-)
+from repro.net.transport import ChannelClosed, FramedConnection, TrafficLog
 
 __all__ = ["TcpConnection", "TcpDaemonServer", "connect_daemon"]
 
@@ -42,43 +35,27 @@ _LEN = struct.Struct(">I")
 _MAX_FRAME = 256 * 1024 * 1024
 
 
-class TcpConnection:
+class TcpConnection(FramedConnection):
     """A framed byte connection over a TCP socket.
 
     Wire format: ``u32be length | payload`` per frame.  Thread-safe for
     one sender + one receiver.  ``op_timeout`` (seconds) bounds any
-    ``send``/``recv`` that does not pass an explicit timeout; ``retry``
-    retransmits transient failures with exponential backoff.
+    ``send``/``recv`` that does not pass an explicit timeout.
     """
 
     def __init__(
         self,
         sock: socket.socket,
         name: str = "",
-        retry: RetryPolicy | None = None,
         op_timeout: float | None = None,
     ):
         self._sock = sock
         self.name = name
-        self.retry = retry or RetryPolicy()
         self.op_timeout = op_timeout
         self.traffic = TrafficLog()
         self._send_lock = threading.Lock()
         self._recv_lock = threading.Lock()
         self._closed = False
-
-    def _retrying(self, op, what: str):
-        attempts = self.retry.max_attempts
-        for attempt in range(1, attempts + 1):
-            try:
-                return op()
-            except TransientNetworkError as exc:
-                if attempt >= attempts:
-                    raise ChannelClosed(
-                        f"{what} failed after {attempts} attempts: {exc}"
-                    ) from exc
-                self.traffic.note_retransmit()
-                time.sleep(self.retry.delay_before(attempt))
 
     def _send_raw(self, frame: bytes, timeout: float | None) -> None:
         header = _LEN.pack(len(frame))
@@ -98,12 +75,6 @@ class TcpConnection:
             raise TimeoutError("tcp send timed out") from None
         except OSError as exc:
             raise ChannelClosed(f"tcp send failed: {exc}") from exc
-
-    def send(self, frame: bytes, timeout: float | None = None) -> None:
-        if timeout is None:
-            timeout = self.op_timeout
-        self._retrying(lambda: self._send_raw(frame, timeout), "send")
-        self.traffic.note_sent(len(frame))
 
     def _recv_exact(self, n: int, timeout: float | None) -> bytes:
         chunks = []
@@ -132,13 +103,6 @@ class TcpConnection:
             if length > _MAX_FRAME:
                 raise ChannelClosed(f"tcp frame too large: {length}")
             return self._recv_exact(length, timeout)
-
-    def recv(self, timeout: float | None = None) -> bytes:
-        if timeout is None:
-            timeout = self.op_timeout
-        frame = self._retrying(lambda: self._recv_raw(timeout), "recv")
-        self.traffic.note_received(len(frame))
-        return frame
 
     def close(self) -> None:
         if not self._closed:

@@ -197,7 +197,6 @@ _CTOR_LAST = {
     "Process": KIND_PROCESS,
     "SharedMemory": KIND_SHM,
     "Channel": KIND_CHANNEL,
-    "FaultyChannel": KIND_CHANNEL,
     "FramedConnection": KIND_CONNECTION,
     "FaultyConnection": KIND_CONNECTION,
     "TcpConnection": KIND_TCP,

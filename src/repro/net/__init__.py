@@ -17,7 +17,6 @@ Two halves:
 from repro.net.faults import (
     FaultInjector,
     FaultPlan,
-    FaultyChannel,
     FaultyConnection,
 )
 from repro.net.link import SimLink
@@ -29,7 +28,6 @@ from repro.net.transport import (
     RetryPolicy,
     SizeWindow,
     TrafficLog,
-    TransientNetworkError,
 )
 from repro.net.xdisplay import XDisplayModel
 
@@ -43,11 +41,9 @@ __all__ = [
     "FramedConnection",
     "RetryPolicy",
     "TrafficLog",
-    "TransientNetworkError",
     "SizeWindow",
     "XDisplayModel",
     "FaultPlan",
     "FaultInjector",
-    "FaultyChannel",
     "FaultyConnection",
 ]

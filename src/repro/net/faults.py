@@ -4,14 +4,16 @@ The paper's claim is that compressed image transport makes remote
 visualization viable *over a real wide-area network* — so the transport
 stack must be exercised under WAN behaviour, not just perfect
 in-process links.  This module wraps any framed endpoint in a
-:class:`FaultyConnection` (or a single :class:`Channel` in a
-:class:`FaultyChannel`) that injects the failure modes a WAN exhibits:
+:class:`FaultyConnection` that injects the failure modes a WAN exhibits:
 
 - fixed one-way **latency** plus uniform **jitter**;
 - a **bandwidth** cap (delay proportional to frame size);
-- **packet loss** — a send attempt vanishes; the endpoint's
-  :class:`~repro.net.transport.RetryPolicy` retransmits with backoff,
-  so a lossy link degrades to a slower link instead of a broken one;
+- **packet loss** — a send attempt vanishes and
+  :meth:`FaultyConnection.send` retransmits it under a
+  :class:`~repro.net.transport.RetryPolicy` with backoff, so a lossy
+  link degrades to a slower link instead of a broken one.  This is the
+  one retransmit loop of the stack: the endpoints underneath never
+  lose a frame, so they never retry;
 - **corruption** — payload bytes flipped in flight (decoders must
   surface this as typed errors, never silent wrong images);
 - a **mid-stream disconnect** after a configured number of delivered
@@ -28,19 +30,13 @@ from __future__ import annotations
 import random
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.net.transport import (
-    Channel,
-    ChannelClosed,
-    RetryPolicy,
-    TransientNetworkError,
-)
+from repro.net.transport import ChannelClosed, FramedConnection, RetryPolicy
 
 __all__ = [
     "FaultPlan",
     "FaultInjector",
-    "FaultyChannel",
     "FaultyConnection",
 ]
 
@@ -85,20 +81,11 @@ class FaultPlan:
     def reconnected(self) -> "FaultPlan":
         """The plan for a re-established link: same WAN character, no
         scheduled disconnect, fresh seed stream."""
-        return FaultPlan(
-            seed=self.seed + 1,
-            latency_s=self.latency_s,
-            jitter_s=self.jitter_s,
-            bandwidth_Bps=self.bandwidth_Bps,
-            loss_ratio=self.loss_ratio,
-            corrupt_ratio=self.corrupt_ratio,
-            disconnect_after=None,
-            delay_on=self.delay_on,
-        )
+        return replace(self, seed=self.seed + 1, disconnect_after=None)
 
 
 class FaultInjector:
-    """Seeded per-link decision engine shared by the fault wrappers.
+    """Seeded per-link decision engine of a :class:`FaultyConnection`.
 
     Draws verdicts for each send attempt in a fixed order, so the
     decision sequence — and therefore the delivery trace — depends only
@@ -118,10 +105,14 @@ class FaultInjector:
 
     # -- verdicts ------------------------------------------------------------
 
-    def send_verdict(self, op_index: int) -> str:
+    def send_verdict(self, op_index: int | None = None) -> str:
         """``"deliver"``, ``"corrupt"``, ``"lose"`` or ``"disconnect"``
-        for send attempt number ``op_index`` (0-based)."""
+        for send attempt number ``op_index`` (0-based; by default the
+        next one, numbered under the same lock as the draw)."""
         with self._lock:
+            if op_index is None:
+                # every earlier attempt was lost or delivered
+                op_index = self.lost + self.delivered
             if self.disconnected:
                 return "disconnect"
             if (
@@ -175,50 +166,6 @@ class FaultInjector:
             return tuple(self._trace)
 
 
-class FaultyChannel:
-    """A :class:`Channel` wrapper injecting plan faults on ``send``.
-
-    Loss surfaces as :class:`TransientNetworkError` so a retrying
-    caller retransmits; a scheduled disconnect closes the inner channel
-    and raises :class:`ChannelClosed`.  Delivery delay is charged on the
-    side named by ``plan.delay_on``.
-    """
-
-    def __init__(self, inner: Channel, plan: FaultPlan,
-                 injector: FaultInjector | None = None):
-        self._inner = inner
-        self.injector = injector or FaultInjector(plan)
-        self._op_index = 0
-
-    def send(self, frame: bytes, timeout: float | None = None) -> None:
-        op = self._op_index
-        self._op_index += 1
-        verdict = self.injector.send_verdict(op)
-        if verdict == "disconnect":
-            self._inner.close()
-            raise ChannelClosed("link disconnected by fault plan")
-        if verdict == "lose":
-            raise TransientNetworkError(f"frame lost in transit (op {op})")
-        if verdict == "corrupt":
-            frame = self.injector.corrupt_payload(frame)
-        if self.injector.plan.delay_on == "send":
-            time.sleep(self.injector.delay_s(len(frame)))
-        self._inner.send(frame, timeout=timeout)
-
-    def recv(self, timeout: float | None = None) -> bytes:
-        frame = self._inner.recv(timeout=timeout)
-        if self.injector.plan.delay_on == "recv":
-            time.sleep(self.injector.delay_s(len(frame)))
-        return frame
-
-    def close(self) -> None:
-        self._inner.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._inner.closed
-
-
 class FaultyConnection:
     """A framed endpoint wrapper that makes the link WAN-shaped.
 
@@ -226,7 +173,8 @@ class FaultyConnection:
     surface (``FramedConnection``, ``TcpConnection``, …).  Outbound
     frames pass through the fault plan: lost attempts are retransmitted
     under ``retry`` with exponential backoff (counted in
-    ``traffic.retransmits``), corrupted attempts are delivered mangled,
+    ``traffic.retransmits``; after the last attempt the send fails with
+    :class:`ChannelClosed`), corrupted attempts are delivered mangled,
     and a scheduled disconnect closes the underlying connection so both
     directions fail with :class:`ChannelClosed`.  Inbound frames are
     delayed by latency/jitter/bandwidth when ``plan.delay_on == "recv"``.
@@ -237,17 +185,12 @@ class FaultyConnection:
         self._conn = conn
         self.plan = plan
         self.injector = FaultInjector(plan)
-        self.retry = retry if retry is not None else getattr(
-            conn, "retry", None) or RetryPolicy()
-        self._lock = threading.Lock()
-        self._op_index = 0  # guarded-by: _lock
+        self.retry = retry or RetryPolicy()
 
     @classmethod
     def pair(cls, plan: FaultPlan, a_name: str = "a", b_name: str = "b",
              maxsize: int = 0, retry: RetryPolicy | None = None):
         """A connected endpoint pair with side ``a`` fault-wrapped."""
-        from repro.net.transport import FramedConnection
-
         a, b = FramedConnection.pair(a_name, b_name, maxsize=maxsize)
         return cls(a, plan, retry=retry), b
 
@@ -267,10 +210,7 @@ class FaultyConnection:
     def send(self, frame: bytes, timeout: float | None = None) -> None:
         attempts = self.retry.max_attempts
         for attempt in range(1, attempts + 1):
-            with self._lock:
-                op = self._op_index
-                self._op_index += 1
-            verdict = self.injector.send_verdict(op)
+            verdict = self.injector.send_verdict()
             if verdict == "disconnect":
                 self._conn.close()
                 raise ChannelClosed("link disconnected by fault plan")

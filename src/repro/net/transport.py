@@ -13,11 +13,10 @@ keeps only a rolling window of individual sizes (:class:`SizeWindow`)
 while the byte/frame totals keep counting everything that ever crossed
 the connection.
 
-Resilience: every endpoint carries a :class:`RetryPolicy`.  A perfect
-in-process link never needs it, but a WAN-shaped link (see
-:mod:`repro.net.faults`) signals recoverable failures as
-:class:`TransientNetworkError`, and ``send``/``recv`` retransmit with
-exponential backoff before giving up with :class:`ChannelClosed`.
+Endpoints never retransmit: a channel or a socket either delivers a
+frame or fails for good.  Loss exists only on a WAN-shaped link, and
+:class:`~repro.net.faults.FaultyConnection` retransmits it there, under
+a :class:`RetryPolicy`, before giving up with :class:`ChannelClosed`.
 Blocking is always bounded: ``send`` and ``recv`` both accept a
 per-operation timeout, and an endpoint-level ``op_timeout`` applies when
 a call does not pass one explicitly.
@@ -39,7 +38,6 @@ __all__ = [
     "TrafficSnapshot",
     "SizeWindow",
     "ChannelClosed",
-    "TransientNetworkError",
     "RetryPolicy",
 ]
 
@@ -48,18 +46,9 @@ class ChannelClosed(ConnectionError):
     """The peer closed the connection."""
 
 
-class TransientNetworkError(ConnectionError):
-    """A recoverable link failure (lost packet, brief stall).
-
-    Raised by fault-injecting transports; the retry layer in
-    :class:`FramedConnection`/``TcpConnection`` retransmits these.  A
-    perfect link never raises it.
-    """
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential backoff for transient link failures.
+    """Exponential backoff for retransmitting frames a lossy link lost.
 
     ``max_attempts`` counts the first try: ``max_attempts=1`` disables
     retransmission entirely.  The delay before attempt *k* (k >= 2) is
@@ -154,7 +143,7 @@ class TrafficLog:
     ``sent``/``received`` retain only the most recent ``window`` sizes;
     ``bytes_sent``/``bytes_received`` (and the ``frames_*`` counters)
     aggregate over the whole connection lifetime.  ``retransmits``
-    counts transient-failure retries the resilience layer performed.
+    counts the lost send attempts a lossy link retransmitted.
 
     A sender and a receiver thread log concurrently, so all mutation
     goes through the ``note_*`` methods, which serialize on an internal
@@ -295,11 +284,10 @@ class Channel:
 class FramedConnection:
     """A bidirectional framed connection endpoint with traffic logging.
 
-    ``retry`` governs retransmission of :class:`TransientNetworkError`
-    failures (injected by WAN-shaped wrappers; a plain channel pair
-    never raises them).  ``op_timeout`` bounds any ``send``/``recv``
-    that does not pass an explicit timeout; ``None`` keeps the classic
-    block-until-closed behaviour.
+    ``op_timeout`` bounds any ``send``/``recv`` that does not pass an
+    explicit timeout; ``None`` keeps the classic block-until-closed
+    behaviour.  Other transports (``TcpConnection``) subclass it and
+    supply only their raw ops and ``close``.
     """
 
     def __init__(
@@ -307,13 +295,11 @@ class FramedConnection:
         out_channel: Channel,
         in_channel: Channel,
         name: str = "",
-        retry: RetryPolicy | None = None,
         op_timeout: float | None = None,
     ):
         self._out = out_channel
         self._in = in_channel
         self.name = name
-        self.retry = retry or RetryPolicy()
         self.op_timeout = op_timeout
         self.traffic = TrafficLog()
 
@@ -326,7 +312,7 @@ class FramedConnection:
         ba = Channel(maxsize=maxsize)
         return cls(ab, ba, a_name), cls(ba, ab, b_name)
 
-    # -- raw ops (override points for fault-injecting subclasses) -----------
+    # -- raw ops (override points for other transports) ----------------------
 
     def _send_raw(self, frame: bytes, timeout: float | None) -> None:
         self._out.send(frame, timeout=timeout)
@@ -334,32 +320,18 @@ class FramedConnection:
     def _recv_raw(self, timeout: float | None) -> bytes:
         return self._in.recv(timeout=timeout)
 
-    def _retrying(self, op, what: str):
-        """Run ``op`` under the retry policy, backing off on transients."""
-        attempts = self.retry.max_attempts
-        for attempt in range(1, attempts + 1):
-            try:
-                return op()
-            except TransientNetworkError as exc:
-                if attempt >= attempts:
-                    raise ChannelClosed(
-                        f"{what} failed after {attempts} attempts: {exc}"
-                    ) from exc
-                self.traffic.note_retransmit()
-                time.sleep(self.retry.delay_before(attempt))
-
     # -- public API ----------------------------------------------------------
 
     def send(self, frame: bytes, timeout: float | None = None) -> None:
         if timeout is None:
             timeout = self.op_timeout
-        self._retrying(lambda: self._send_raw(frame, timeout), "send")
+        self._send_raw(frame, timeout)
         self.traffic.note_sent(len(frame))
 
     def recv(self, timeout: float | None = None) -> bytes:
         if timeout is None:
             timeout = self.op_timeout
-        frame = self._retrying(lambda: self._recv_raw(timeout), "recv")
+        frame = self._recv_raw(timeout)
         self.traffic.note_received(len(frame))
         return frame
 

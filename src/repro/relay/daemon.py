@@ -303,7 +303,9 @@ class FrameRelay:  # speaks: relay
         self._prefetcher: TimelinePrefetcher | None = None
         self._upstream_handle = self._dial(upstream, fault_plan, None)  # guarded-by: _lock
         try:
-            self._host.spawn(self._ingest_origin, name=f"{name}-origin-ingest")
+            self._host.spawn(self._ingest, "origin", self._upstream_handle,
+                             self._reconnect_upstream,
+                             name=f"{name}-origin-ingest")
             self._prefetcher = TimelinePrefetcher(
                 self, prefetch or PrefetchPolicy())
             self._prefetcher.start()
@@ -389,8 +391,9 @@ class FrameRelay:  # speaks: relay
         with self._lock:
             self._peers[peer.name] = link
             self._dead_peers.discard(peer.name)
-        self._host.spawn(self._ingest_peer, link,
-                    name=f"{self.name}-peer-{peer.name}-ingest")
+        self._host.spawn(self._ingest, peer.name, handle,
+                         lambda: self._mark_peer_dead(peer.name),
+                         name=f"{self.name}-peer-{peer.name}-ingest")
 
     def _mark_peer_dead(self, peer_name: str) -> None:
         with self._lock:
@@ -404,38 +407,28 @@ class FrameRelay:  # speaks: relay
 
     # -- ingest (upstream + peer pumps) --------------------------------------
 
-    def _ingest_origin(self) -> None:
-        with self._lock:
-            handle = self._upstream_handle
+    def _ingest(self, source: str, handle: ViewerHandle, on_cut) -> None:
+        """The receive loop of the upstream link (``source="origin"``)
+        or of a peer link (``source`` = the peer's name).  ``on_cut()``
+        answers a cut link with the handle to carry on with, or
+        ``None`` to stop: the upstream reconnects with resume, a peer
+        is marked dead."""
         while True:
             try:
                 raw = handle.conn.recv(timeout=0.25)
             except TimeoutError:
-                if self._is_closed():
+                if self._is_closed() or (
+                        source != "origin" and not self._peer_alive(source)):
                     return
                 continue
             except ConnectionError:
                 if self._is_closed():
                     return
-                handle = self._reconnect_upstream()
+                handle = on_cut()
                 if handle is None:
                     return
                 continue
-            self._ingest_raw(raw, source="origin", conn=handle.conn)
-
-    def _ingest_peer(self, link: _PeerLink) -> None:
-        while True:
-            try:
-                raw = link.handle.conn.recv(timeout=0.25)
-            except TimeoutError:
-                if self._is_closed() or not self._peer_alive(link.name):
-                    return
-                continue
-            except ConnectionError:
-                if not self._is_closed():
-                    self._mark_peer_dead(link.name)
-                return
-            self._ingest_raw(raw, source=link.name, conn=link.handle.conn)
+            self._ingest_raw(raw, source=source, conn=handle.conn)
 
     def _ingest_raw(self, raw: bytes, source: str, conn) -> None:  # speaks: relay@ingest
         try:

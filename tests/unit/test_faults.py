@@ -5,14 +5,15 @@ operation sequence must yield the identical delivery trace, so failure
 scenarios are reproducible fixtures, never flaky luck.
 """
 
+import socket
 import time
 
 import pytest
 
+from repro.daemon.tcp import TcpConnection
 from repro.net.faults import (
     FaultInjector,
     FaultPlan,
-    FaultyChannel,
     FaultyConnection,
 )
 from repro.net.transport import (
@@ -20,7 +21,6 @@ from repro.net.transport import (
     ChannelClosed,
     FramedConnection,
     RetryPolicy,
-    TransientNetworkError,
 )
 
 
@@ -116,6 +116,31 @@ class TestLossAndRetry:
         assert RetryPolicy.none().max_attempts == 1
 
 
+    def test_lossy_link_over_tcp_logs_each_frame_once(self):
+        """The one retransmit loop works over a real socket: frames
+        arrive in order, every lost attempt is one retransmit, and the
+        endpoint logs each delivered frame once."""
+        a_sock, b_sock = socket.socketpair()
+        a = FaultyConnection(
+            TcpConnection(a_sock, name="a"),
+            FaultPlan(seed=5, loss_ratio=0.3),
+            retry=RetryPolicy(max_attempts=10, backoff_s=0.0),
+        )
+        b = TcpConnection(b_sock, name="b")
+        try:
+            frames = [f"frame{i}".encode() for i in range(40)]
+            for frame in frames:
+                a.send(frame)
+            assert [b.recv(timeout=1.0) for _ in frames] == frames
+            assert a.injector.lost > 0
+            assert a.traffic.retransmits == a.injector.lost
+            assert a.traffic.frames_sent == len(frames)
+            assert a.traffic.bytes_sent == sum(map(len, frames))
+        finally:
+            a.close()
+            b.close()
+
+
 class TestCorruption:
     def test_corruption_flips_exactly_one_byte(self):
         plan = FaultPlan(seed=2, corrupt_ratio=0.99)
@@ -170,30 +195,6 @@ class TestDelays:
         elapsed = time.perf_counter() - t0
         assert elapsed >= 0.08
         assert b.recv(timeout=1.0) == b"x" * 10_000
-
-
-class TestFaultyChannel:
-    def test_loss_surfaces_as_transient_error(self):
-        # seed 0 at 90% loss: first send attempt is lost
-        ch = FaultyChannel(Channel(), FaultPlan(seed=0, loss_ratio=0.9))
-        with pytest.raises(TransientNetworkError):
-            ch.send(b"gone")
-
-    def test_disconnect_closes_inner_channel(self):
-        inner = Channel()
-        ch = FaultyChannel(inner, FaultPlan(seed=0, disconnect_after=0))
-        with pytest.raises(ChannelClosed):
-            ch.send(b"never")
-        assert inner.closed
-        assert ch.closed
-
-    def test_clean_channel_roundtrip(self):
-        ch = FaultyChannel(Channel(), FaultPlan(seed=0))
-        ch.send(b"ok")
-        assert ch.recv(timeout=1.0) == b"ok"
-        ch.close()
-        with pytest.raises(ChannelClosed):
-            ch.recv(timeout=1.0)
 
 
 class TestTransportResilience:
