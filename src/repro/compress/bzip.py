@@ -167,22 +167,19 @@ class BZIPCodec(LosslessCodec):
         Bytes per independently-sorted block (default 512 KiB).  Larger
         blocks improve ratio at superlinear sort cost, mirroring bzip2's
         ``-1``..``-9``.
-    context:
-        Optional shared :class:`~repro.compress.context.CodecContext` for
-        cross-frame Huffman-table reuse; private when omitted.
+
+    Huffman tables are reused across frames through a private
+    :class:`~repro.compress.context.CodecContext` until
+    :meth:`use_context` binds a shared one.
     """
 
     name = "bzip"
 
-    def __init__(
-        self,
-        block_size: int = 512 * 1024,
-        context: CodecContext | None = None,
-    ):
+    def __init__(self, block_size: int = 512 * 1024):
         if block_size < 1024:
             raise ValueError("block_size must be >= 1024")
         self.block_size = block_size
-        self._ctx = context if context is not None else CodecContext()
+        self._ctx = CodecContext()
         self._rle1 = RLECodec(min_run=4)
 
     def use_context(self, context: CodecContext) -> None:

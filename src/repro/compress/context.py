@@ -29,6 +29,11 @@ Contexts are deliberately dumb: plain dicts with size caps and hit/build
 counters (``stats``), safe to share across every codec of one connection.
 Sharing a context across *threads* decoding concurrently is not supported;
 give each decoding thread its own.
+
+:func:`bound_codec` is the one way an owner (a display interface, a
+viewer handle, a broker, an encode worker) gets its codecs: built once
+per ``(name, quality)``, bound to the owner's context, kept in the
+owner's dict.
 """
 
 from __future__ import annotations
@@ -37,9 +42,12 @@ import struct
 
 import numpy as np
 
-from repro.compress.base import CodecError
+from repro.compress.base import Codec, CodecError, get_codec
 
-__all__ = ["CodecContext"]
+__all__ = ["CodecContext", "bound_codec"]
+
+#: cap on the scratch buffers one context pools (FIFO eviction)
+MAX_BUFFERS = 32
 
 
 class CodecContext:
@@ -53,13 +61,10 @@ class CodecContext:
         packed decode LUT (:attr:`HuffmanCode.nbytes`); ``code_bytes`` is
         what the cache holds now.  A table bigger than the whole budget is
         decoded but not kept.
-    max_buffers:
-        Cap on pooled scratch buffers.
     """
 
-    def __init__(self, max_code_bytes: int = 4 << 20, max_buffers: int = 32):
+    def __init__(self, max_code_bytes: int = 4 << 20):
         self.max_code_bytes = max_code_bytes
-        self.max_buffers = max_buffers
         self._codes: dict[bytes, object] = {}
         #: bytes held by ``_codes``' entries (keys, arrays and LUTs)
         self.code_bytes = 0
@@ -143,7 +148,7 @@ class CodecContext:
             return buf
         buf = np.empty(shape, dtype=dtype)
         self.stats["buffer_allocs"] += 1
-        if len(self._buffers) >= self.max_buffers:
+        if len(self._buffers) >= MAX_BUFFERS:
             self._buffers.pop(next(iter(self._buffers)))
         self._buffers[key] = buf
         return buf
@@ -200,3 +205,27 @@ class CodecContext:
             f"<CodecContext codes={len(self._codes)} "
             f"quant={len(self._quant)} buffers={len(self._buffers)}>"
         )
+
+
+def bound_codec(
+    codecs: dict, context: CodecContext, name: str, quality: int | None = None
+) -> Codec:
+    """The codec for ``(name, quality)`` bound to ``context``, built once.
+
+    ``codecs`` is the owner's memo, keyed by ``(name, quality)``; a miss
+    instantiates the codec (``quality`` forwarded when set) and binds it
+    through ``use_context``.  The owner keeps the dict, not the context:
+    a codec already references its context, so a context holding its
+    codecs would be a cycle only the cycle collector frees.
+    """
+    key = (name, quality)
+    codec = codecs.get(key)
+    if codec is None:
+        codec = (
+            get_codec(name) if quality is None
+            else get_codec(name, quality=quality)
+        )
+        if hasattr(codec, "use_context"):
+            codec.use_context(context)
+        codecs[key] = codec
+    return codec

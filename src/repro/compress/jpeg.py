@@ -195,10 +195,11 @@ class JPEGCodec(Codec):
         (1..255); ``None`` (default) sizes lanes from the stream length
         exactly as before.  Any value decodes everywhere — ``K`` travels
         in the blob header.
-    context:
-        A shared :class:`~repro.compress.context.CodecContext`; a private
-        one is created when omitted, so tables and scratch persist across
-        the frames encoded or decoded by this instance either way.
+
+    The instance owns a private
+    :class:`~repro.compress.context.CodecContext` until
+    :meth:`use_context` binds a shared one, so tables and scratch persist
+    across the frames it encodes or decodes either way.
     """
 
     name = "jpeg"
@@ -210,7 +211,6 @@ class JPEGCodec(Codec):
         subsample: bool = True,
         fast_decode: int = 0,
         lanes: int | None = None,
-        context: CodecContext | None = None,
     ):
         if fast_decode not in (0, 1, 2, 3):
             raise ValueError("fast_decode must be 0, 1, 2, or 3")
@@ -220,7 +220,7 @@ class JPEGCodec(Codec):
         self.subsample = subsample
         self.fast_decode = fast_decode
         self.lanes = lanes
-        self._ctx = context if context is not None else CodecContext()
+        self._ctx = CodecContext()
         self._luma_q, self._chroma_q = self._ctx.quant_tables(quality)
         # Frame-geometry-keyed encode tables (strip->scan maps, tiled
         # reciprocal quant rows).  Pure functions of (dims, quality), so

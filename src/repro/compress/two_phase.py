@@ -25,27 +25,20 @@ class TwoPhaseCodec(Codec):
     """A lossy first stage whose payload is re-compressed losslessly.
 
     The registry exposes the paper's two combinations as ``"jpeg+lzo"``
-    and ``"jpeg+bzip"``; arbitrary stages can be composed directly.  A
-    shared :class:`~repro.compress.context.CodecContext` (given at
-    construction or via :meth:`use_context`) is threaded through to every
-    stage that supports one, so both phases reuse the same cached Huffman
-    tables and scratch buffers across frames.
+    and ``"jpeg+bzip"``; arbitrary stages can be composed directly.
+    :meth:`use_context` binds one
+    :class:`~repro.compress.context.CodecContext` to every stage that
+    supports one, so both phases reuse the same cached Huffman tables and
+    scratch buffers across frames.
     """
 
-    def __init__(
-        self,
-        first: Codec,
-        second: LosslessCodec,
-        context: CodecContext | None = None,
-    ):
+    def __init__(self, first: Codec, second: LosslessCodec):
         if not second.lossless:
             raise ValueError("second stage must be lossless")
         self.first = first
         self.second = second
         self.name = f"{first.name}+{second.name}"
         self.lossless = first.lossless
-        if context is not None:
-            self.use_context(context)
 
     def use_context(self, context: CodecContext) -> None:
         """Share one codec context across both stages."""
@@ -66,27 +59,15 @@ class TwoPhaseCodec(Codec):
         return self.first.decode_image(self.second.decode(payload))
 
 
-def _jpeg_lzo(
-    quality: int = 75,
-    level: int = 1,
-    context: CodecContext | None = None,
-    **kw,
-) -> TwoPhaseCodec:
-    return TwoPhaseCodec(
-        JPEGCodec(quality=quality, **kw), LZOCodec(level=level), context=context
-    )
+def _jpeg_lzo(quality: int = 75, level: int = 1, **kw) -> TwoPhaseCodec:
+    return TwoPhaseCodec(JPEGCodec(quality=quality, **kw), LZOCodec(level=level))
 
 
 def _jpeg_bzip(
-    quality: int = 75,
-    block_size: int = 512 * 1024,
-    context: CodecContext | None = None,
-    **kw,
+    quality: int = 75, block_size: int = 512 * 1024, **kw
 ) -> TwoPhaseCodec:
     return TwoPhaseCodec(
-        JPEGCodec(quality=quality, **kw),
-        BZIPCodec(block_size=block_size),
-        context=context,
+        JPEGCodec(quality=quality, **kw), BZIPCodec(block_size=block_size)
     )
 
 

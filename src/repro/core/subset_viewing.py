@@ -97,21 +97,16 @@ class ClientSideRenderer:
     def __init__(self, tf: TransferFunction | None = None):
         self.tf = tf if tf is not None else TransferFunction.jet()
         self._volume: np.ndarray | None = None
-        self._factor = 1
         #: wire bytes received so far
         self.bytes_received = 0
 
     def receive(self, payload: bytes) -> None:
-        self._volume, self._factor = unpack_volume_subset(payload)
+        self._volume, _ = unpack_volume_subset(payload)
         self.bytes_received += len(payload)
 
     @property
     def has_data(self) -> bool:
         return self._volume is not None
-
-    @property
-    def reduction_factor(self) -> int:
-        return self._factor
 
     def render(self, camera: Camera, **kwargs) -> np.ndarray:
         """Render the current subset volume locally (premultiplied RGBA)."""

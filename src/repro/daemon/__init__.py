@@ -25,11 +25,7 @@ from repro.daemon.protocol import (
     Message,
     decode_message,
 )
-from repro.daemon.display_daemon import (
-    BroadcastPolicy,
-    DeliveryPolicy,
-    DisplayDaemon,
-)
+from repro.daemon.display_daemon import DisplayDaemon
 from repro.daemon.tcp import TcpDaemonServer, connect_daemon
 from repro.daemon.renderer_interface import RendererInterface
 from repro.daemon.display_interface import DisplayInterface
@@ -41,8 +37,6 @@ __all__ = [
     "HelloMessage",
     "decode_message",
     "DisplayDaemon",
-    "DeliveryPolicy",
-    "BroadcastPolicy",
     "TcpDaemonServer",
     "connect_daemon",
     "RendererInterface",

@@ -8,18 +8,12 @@ viewer current — the behaviour an interactive system wants over a slow
 WAN.  Control messages from displays fan out to every renderer connection
 (the "remote callback" path), and the daemon itself answers
 ``set_codec``/``start_renderer`` tags by forwarding them, per §4.1.
-
-How a renderer frame reaches the display buffers is a pluggable
-:class:`DeliveryPolicy`; the default — and the only one in the tree —
-broadcasts every piece to every display.  (:mod:`repro.serve` does not
-use this hook: it is its own fan-out layer fed by ``publish()``.)
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Iterable
 
 from repro.daemon.protocol import (
     ControlMessage,
@@ -30,30 +24,7 @@ from repro.daemon.protocol import (
 )
 from repro.net.transport import ChannelClosed, FramedConnection
 
-__all__ = ["DisplayDaemon", "DeliveryPolicy", "BroadcastPolicy"]
-
-
-class DeliveryPolicy:
-    """Decides how one renderer frame piece reaches the display ports.
-
-    ``deliver`` receives the frame message and a snapshot of the live
-    ports and returns how many whole frames were dropped as a result.
-    Subclasses can filter, reorder, or transform per port — the serving
-    layer uses this to interpose per-viewer admission.
-    """
-
-    def deliver(self, msg: FrameMessage, ports: Iterable["_DisplayPort"]) -> int:
-        raise NotImplementedError
-
-
-class BroadcastPolicy(DeliveryPolicy):
-    """The paper's behaviour: every display is offered every piece."""
-
-    def deliver(self, msg: FrameMessage, ports: Iterable["_DisplayPort"]) -> int:
-        dropped = 0
-        for port in ports:
-            dropped += port.offer(msg)
-        return dropped
+__all__ = ["DisplayDaemon"]
 
 
 class DisplayDaemon:
@@ -65,14 +36,10 @@ class DisplayDaemon:
         Per-display image-buffer capacity in *frame ids* (0 = unbounded).
         When full, the oldest buffered frame id is dropped whole (all its
         pieces), never a partial frame.
-    policy:
-        The :class:`DeliveryPolicy` routing renderer frames into display
-        buffers (default: broadcast to all).
     """
 
-    def __init__(self, buffer_frames: int = 8, policy: DeliveryPolicy | None = None):
+    def __init__(self, buffer_frames: int = 8):
         self.buffer_frames = buffer_frames
-        self.policy = policy or BroadcastPolicy()
         self._lock = threading.Lock()
         self._renderers: list[FramedConnection] = []  # guarded-by: _lock
         self._displays: list[_DisplayPort] = []  # guarded-by: _lock
@@ -121,7 +88,7 @@ class DisplayDaemon:
     # -- pumps ---------------------------------------------------------------
 
     def _pump_renderer(self, conn: FramedConnection) -> None:
-        """Renderer → daemon: buffer frames toward every display."""
+        """Renderer → daemon: offer every frame piece to every display."""
         while True:
             try:
                 msg = decode_message(conn.recv())
@@ -130,7 +97,7 @@ class DisplayDaemon:
             if isinstance(msg, FrameMessage):
                 with self._lock:
                     displays = list(self._displays)
-                dropped = self.policy.deliver(msg, displays)
+                dropped = sum(port.offer(msg) for port in displays)
                 if dropped:
                     with self._lock:
                         self.dropped_frames += dropped

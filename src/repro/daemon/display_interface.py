@@ -15,8 +15,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.compress import Codec, get_codec
-from repro.compress.context import CodecContext
+from repro.compress import Codec
+from repro.compress.context import CodecContext, bound_codec
 from repro.daemon.display_daemon import DisplayDaemon
 from repro.daemon.protocol import ControlMessage, FrameMessage, decode_message
 from repro.net.transport import ChannelClosed, FramedConnection
@@ -77,7 +77,7 @@ class DisplayInterface:  # speaks: display
             )
             self.conn = local
             daemon.connect(remote, role="display", name=name)
-        self._codecs: dict[str, Codec] = {}
+        self._codecs: dict[tuple[str, None], Codec] = {}
         self._pending: dict[int, dict[int, FrameMessage]] = {}
         self._lock = threading.Lock()
         #: control/hello traffic received with no handler on this end
@@ -86,14 +86,6 @@ class DisplayInterface:  # speaks: display
         # quantization matrices, and scratch buffers persist across frames
         # and are shared by every codec this interface instantiates.
         self.codec_context = CodecContext()
-
-    def _decoder(self, name: str) -> Codec:
-        if name not in self._codecs:
-            codec = get_codec(name)
-            if hasattr(codec, "use_context"):
-                codec.use_context(self.codec_context)
-            self._codecs[name] = codec
-        return self._codecs[name]
 
     # -- receiving ------------------------------------------------------------
 
@@ -134,11 +126,15 @@ class DisplayInterface:  # speaks: display
         first = pieces[0]
         payload_bytes = sum(len(p.payload) for p in pieces)
         if len(pieces) == 1 and first.row_range is None:
-            image = self._decoder(first.codec).decode_image(first.payload)
+            image = bound_codec(
+                self._codecs, self.codec_context, first.codec
+            ).decode_image(first.payload)
         else:
             tiles = []
             for p in pieces:
-                strip = self._decoder(p.codec).decode_image(p.payload)
+                strip = bound_codec(
+                    self._codecs, self.codec_context, p.codec
+                ).decode_image(p.payload)
                 if p.row_range is None:
                     raise ValueError("multi-piece frame without row ranges")
                 tiles.append((p.row_range, strip))

@@ -57,6 +57,14 @@ class TcpConnection(FramedConnection):
         self._recv_lock = threading.Lock()
         self._closed = False
 
+    @classmethod
+    def pair(
+        cls, a_name: str = "a", b_name: str = "b"
+    ) -> tuple["TcpConnection", "TcpConnection"]:
+        """Two endpoints joined by ``socket.socketpair()``."""
+        a_sock, b_sock = socket.socketpair()
+        return cls(a_sock, a_name), cls(b_sock, b_name)
+
     def _send_raw(self, frame: bytes, timeout: float | None) -> None:
         header = _LEN.pack(len(frame))
         try:

@@ -224,9 +224,8 @@ class FrameRelay:  # speaks: relay
     ring:
         Shared :class:`RelayRing`; ``None`` means "own everything, all
         fetches go upstream".
-    store:
-        A shared pin-aware :class:`FrameCache`; by default each relay
-        owns a private one of ``store_bytes``.
+    store_bytes:
+        Byte budget of the relay's own pin-aware :class:`FrameCache`.
     fault_plan / retry:
         WAN shape of the *upstream* link.  (Downstream links get their
         plans per-:meth:`join`.)
@@ -238,7 +237,6 @@ class FrameRelay:  # speaks: relay
         upstream,
         *,
         ring: RelayRing | None = None,
-        store: FrameCache | None = None,
         store_bytes: int = 32 << 20,
         prefetch: PrefetchPolicy | None = None,
         credit_limit: int = 8,
@@ -251,7 +249,7 @@ class FrameRelay:  # speaks: relay
         self.name = name
         self.upstream = upstream
         self.ring = ring
-        self.store = store or FrameCache(store_bytes)
+        self.store = FrameCache(store_bytes)
         self.credit_limit = credit_limit
         self.upstream_credits = upstream_credits
         self.fetch_timeout = fetch_timeout
@@ -737,10 +735,6 @@ class FrameRelay:  # speaks: relay
         with self._lock:
             meta = self._frames.get(frame_id)
         return None if meta is None else meta.key(frame_id)
-
-    def frame_available(self, frame_id: int) -> bool:
-        key = self.key_for(frame_id)
-        return key is not None and key in self.store
 
     def prefetch_hints(self) -> list[int]:
         """Live session cursors worth staging ahead of."""

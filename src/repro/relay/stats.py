@@ -69,10 +69,6 @@ class RelayStats(RelayCounters):
     session_stats: dict[str, SessionStats] = field(default_factory=dict)
 
     @property
-    def upstream_frames(self) -> int:
-        return self.origin_frames + self.peer_frames
-
-    @property
     def offload_ratio(self) -> float:
         """Fraction of served frames that did *not* cost an origin
         transfer: ``1 - origin_frames / frames_served``.  The relay

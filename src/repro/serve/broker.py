@@ -35,7 +35,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.compress import Codec
-from repro.compress.context import CodecContext
+from repro.compress.context import CodecContext, bound_codec
 from repro.devtools.guards import guarded_by
 from repro.daemon.protocol import FrameMessage
 from repro.net.faults import FaultPlan
@@ -243,7 +243,10 @@ class SessionBroker:  # speaks: broker
         def encode_inline() -> bytes:
             with self._encode_lock:
                 self.encodes += 1
-                return self._encoder(tier).encode_image(image)
+                return bound_codec(
+                    self._encoders, self._encoder_context,
+                    tier.codec, tier.quality,
+                ).encode_image(image)
 
         if self.encode_pool is None:
             return self.cache.get_or_encode(key, encode_inline)
@@ -263,16 +266,6 @@ class SessionBroker:  # speaks: broker
             return payload
 
         return self.cache.get_or_encode(key, encode_pooled)
-
-    def _encoder(self, tier: QualityTier) -> Codec:
-        key = (tier.codec, tier.quality)
-        codec = self._encoders.get(key)
-        if codec is None:
-            codec = tier.make_codec()
-            if hasattr(codec, "use_context"):
-                codec.use_context(self._encoder_context)
-            self._encoders[key] = codec
-        return codec
 
     # -- history replay (the session host's seek and admission hooks) -------
 

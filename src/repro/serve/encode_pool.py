@@ -41,8 +41,8 @@ from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
-from repro.compress import Codec, get_codec
-from repro.compress.context import CodecContext
+from repro.compress import Codec
+from repro.compress.context import CodecContext, bound_codec
 from repro.devtools.guards import guarded_by
 
 __all__ = ["EncodePool", "EncodeFailed"]
@@ -79,18 +79,6 @@ atexit.register(_stop_resource_tracker)
 
 class EncodeFailed(RuntimeError):
     """A worker raised while encoding (deterministic codec error)."""
-
-
-def _make_codec(codec_name: str, quality: int | None,
-                context: CodecContext) -> Codec:
-    codec = (
-        get_codec(codec_name)
-        if quality is None
-        else get_codec(codec_name, quality=quality)
-    )
-    if hasattr(codec, "use_context"):
-        codec.use_context(context)
-    return codec
 
 
 def _record_error(results, worker_id: int, task_id: int,
@@ -134,12 +122,9 @@ def _worker_main(worker_id: int, tasks, results,
                 image = plane.copy()  # detach before the slot is recycled
             finally:
                 seg.close()
-            key = (codec_name, quality)
-            codec = codecs.get(key)
-            if codec is None:
-                codec = _make_codec(codec_name, quality, context)
-                codecs[key] = codec
-            payload = codec.encode_image(image)
+            payload = bound_codec(
+                codecs, context, codec_name, quality
+            ).encode_image(image)
         except Exception as exc:  # shipped back typed, never swallowed
             _record_error(results, worker_id, task_id, exc)
             continue
@@ -187,24 +172,19 @@ class EncodePool:
         Worker process count.  Two saturate the cold path of a typical
         4-tier ladder; more helps only while distinct (frame, tier)
         misses outnumber them.
-    start_method:
-        ``multiprocessing`` start method (default: ``fork`` where
-        available — workers inherit the imported codec modules — else
-        the platform default).
+
+    Workers start by ``fork`` where available (they inherit the imported
+    codec modules), else by the platform's default start method.
     """
 
-    def __init__(self, workers: int = 2, *, start_method: str | None = None):
+    def __init__(self, workers: int = 2):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else None
-        self._ctx = multiprocessing.get_context(start_method)
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context("fork" if fork else None)
         #: fork workers share the parent's resource-tracker process;
         #: spawn workers run their own (see _worker_main)
-        self._shared_tracker = (
-            start_method or multiprocessing.get_start_method()
-        ) == "fork"
+        self._shared_tracker = self._ctx.get_start_method() == "fork"
         if self._shared_tracker and hasattr(resource_tracker, "ensure_running"):
             # start the tracker *before* forking workers: children must
             # inherit its pipe or each one silently spawns a private
@@ -226,9 +206,9 @@ class EncodePool:
         # borrows: _free_slots -- recycled entries; _all_slots owns them
         self._free_slots: list[shared_memory.SharedMemory] = []  # guarded-by: _lock
         self._all_slots: list[shared_memory.SharedMemory] = []  # guarded-by: _lock
-        self._inline_codecs: dict[tuple[str, int | None], Codec] = {}  # guarded-by: _lock
         #: serializes inline-fallback encodes (they share scratch buffers)
         self._inline_lock = threading.Lock()
+        self._inline_codecs: dict[tuple[str, int | None], Codec] = {}  # guarded-by: _inline_lock
         self._inline_context = CodecContext()
         self._task_counter = 0  # guarded-by: _lock
         self._next_worker = 0  # guarded-by: _lock
@@ -263,11 +243,6 @@ class EncodePool:
             raise
 
     # -- public surface ------------------------------------------------------
-
-    @property
-    def n_workers(self) -> int:
-        with self._lock:
-            return len(self._workers)
 
     def encode(
         self,
@@ -426,12 +401,10 @@ class EncodePool:
             if pending is not None and pending.key is not None:
                 if self._inflight.get(pending.key) is pending:
                     del self._inflight[pending.key]
-            cached = self._inline_codecs.get((codec, quality))
-            if cached is None:
-                cached = _make_codec(codec, quality, self._inline_context)
-                self._inline_codecs[(codec, quality)] = cached
         with self._inline_lock:
-            return cached.encode_image(image)
+            return bound_codec(
+                self._inline_codecs, self._inline_context, codec, quality
+            ).encode_image(image)
 
     # -- result collection / crash recovery ----------------------------------
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.compress import Codec, get_codec
-from repro.compress.context import CodecContext
+from repro.compress import Codec
+from repro.compress.context import CodecContext, bound_codec
 from repro.devtools.guards import guarded_by
 from repro.daemon.protocol import (
     ControlMessage,
@@ -346,7 +346,7 @@ class ViewerHandle:  # speaks: client
         self.name = name
         self.conn = conn
         self.codec_context = codec_context
-        self._codecs: dict[str, Codec] = {}
+        self._codecs: dict[tuple[str, None], Codec] = {}
         #: most recent tier the broker told us we are watching
         self.current_tier: str | None = None
         #: True when this handle continues an earlier session's stream
@@ -361,15 +361,6 @@ class ViewerHandle:  # speaks: client
         #: (same single-consumer access rule as ``gaps``)
         self.unknown_controls = 0
         self._closed = False
-
-    def _decoder(self, name: str) -> Codec:
-        codec = self._codecs.get(name)
-        if codec is None:
-            codec = get_codec(name)
-            if hasattr(codec, "use_context"):
-                codec.use_context(self.codec_context)
-            self._codecs[name] = codec
-        return codec
 
     def next_frame(
         self, timeout: float | None = 5.0, *, decode: bool = True
@@ -397,9 +388,9 @@ class ViewerHandle:  # speaks: client
                 image = None
                 if decode:
                     try:
-                        image = self._decoder(msg.codec).decode_image(
-                            msg.payload
-                        )
+                        image = bound_codec(
+                            self._codecs, self.codec_context, msg.codec
+                        ).decode_image(msg.payload)
                     except Exception as exc:
                         # any decoder failure on a wire-corrupted payload
                         # is re-raised typed — never swallowed, never

@@ -46,6 +46,9 @@ from repro.serve.stats import ServeStats
 
 __all__ = ["SessionRouter", "shard_for"]
 
+#: frames a shard's publish pump may hold before ``publish`` blocks
+PUBLISH_QUEUE = 8
+
 
 def shard_for(session_name: str, shard_names, vnodes: int = 64) -> str:
     """Pure routing function: which of ``shard_names`` owns the session.
@@ -65,9 +68,9 @@ def shard_for(session_name: str, shard_names, vnodes: int = 64) -> str:
 class _ShardPump:
     """One publish pump: feeds frames to one shard off the caller thread."""
 
-    def __init__(self, broker: SessionBroker, maxsize: int = 8):
+    def __init__(self, broker: SessionBroker):
         self.broker = broker
-        self._queue: queue.Queue = queue.Queue(maxsize=maxsize)
+        self._queue: queue.Queue = queue.Queue(maxsize=PUBLISH_QUEUE)
         self._cond = threading.Condition()
         self._pending = 0  # guarded-by: _cond
         #: publishes refused because the shard closed underneath us
@@ -147,7 +150,6 @@ class SessionRouter:
         encode_workers: int = 0,
         encode_pool: EncodePool | None = None,
         vnodes: int = 64,
-        publish_queue: int = 8,
         **broker_kwargs,
     ):
         if shards < 1:
@@ -171,7 +173,7 @@ class SessionRouter:
         # keeping its throughput identical to a bare SessionBroker
         self._pumps = (
             {
-                name: _ShardPump(broker, maxsize=publish_queue)
+                name: _ShardPump(broker)
                 for name, broker in self._brokers.items()
             }
             if shards > 1

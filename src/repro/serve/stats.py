@@ -48,11 +48,6 @@ class SessionStats:
     #: times this logical session reconnected and resumed its stream
     reconnects: int = 0
 
-    @property
-    def drop_ratio(self) -> float:
-        offered = self.frames_sent + self.frames_dropped
-        return self.frames_dropped / offered if offered else 0.0
-
     def copy(self, **overrides) -> "SessionStats":
         """An independent snapshot of these counters.
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.compress import Codec, get_codec
-
 __all__ = ["QualityTier", "TierLadder", "default_ladder"]
 
 
@@ -39,12 +37,6 @@ class QualityTier:
     def cache_key(self, frame_id: int) -> tuple[int, str, int | None]:
         """Content address of this tier's encoding of ``frame_id``."""
         return (frame_id, self.codec, self.quality)
-
-    def make_codec(self) -> Codec:
-        """Instantiate this tier's codec (quality forwarded if set)."""
-        if self.quality is None:
-            return get_codec(self.codec)
-        return get_codec(self.codec, quality=self.quality)
 
     def admits(self, frame_id: int) -> bool:
         """Whether this tier delivers ``frame_id`` (stride filter)."""

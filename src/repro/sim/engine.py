@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterator
+from typing import Any, Callable, Generator
 
 __all__ = ["Simulator", "Event", "Timeout", "Process", "SimulationError"]
 
@@ -149,12 +149,3 @@ class Simulator:
             self.now = when
             fn()
         return self.now
-
-
-def iterate_events(sim: Simulator) -> Iterator[float]:  # pragma: no cover
-    """Debug helper: step the simulation one event at a time."""
-    while sim._heap:
-        when, _, fn = heapq.heappop(sim._heap)
-        sim.now = when
-        fn()
-        yield when

@@ -209,3 +209,16 @@ class TestFraming:
             conn.recv(timeout=2)
         a.close()
         conn.close()
+
+    def test_pair_sends_both_ways(self):
+        a, b = TcpConnection.pair("a", "b")
+        try:
+            a.send(b"ping", timeout=2)
+            assert b.recv(timeout=2) == b"ping"
+            b.send(b"pong" * 1000, timeout=2)
+            assert a.recv(timeout=2) == b"pong" * 1000
+            assert a.traffic.sent == [4] and b.traffic.sent == [4000]
+            assert (a.name, b.name) == ("a", "b")
+        finally:
+            a.close()
+            b.close()

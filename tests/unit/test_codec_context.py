@@ -13,7 +13,7 @@ import pytest
 from repro.compress import get_codec
 from repro.compress import huffman
 from repro.compress.base import CodecError
-from repro.compress.context import CodecContext
+from repro.compress.context import CodecContext, bound_codec
 from repro.compress.huffman import build_code
 
 
@@ -179,8 +179,8 @@ class TestDisplayInterfaceWiring:
 
         local, _remote = FramedConnection.pair("a", "b")
         di = DisplayInterface(connection=local)
-        jpeg = di._decoder("jpeg")
-        combo = di._decoder("jpeg+bzip")
+        jpeg = bound_codec(di._codecs, di.codec_context, "jpeg")
+        combo = bound_codec(di._codecs, di.codec_context, "jpeg+bzip")
         assert jpeg._ctx is di.codec_context
         assert combo.first._ctx is di.codec_context
         assert combo.second._ctx is di.codec_context

@@ -247,31 +247,3 @@ class TestLifecycleGuards:
         with pytest.raises(RuntimeError):
             daemon.connect(conn, role="renderer")
 
-
-class TestDeliveryPolicy:
-    def test_custom_policy_filters_displays(self, gradient_image):
-        from repro.daemon import DisplayDaemon, DisplayInterface, RendererInterface
-        from repro.daemon.display_daemon import DeliveryPolicy
-
-        class EvenFramesOnly(DeliveryPolicy):
-            def deliver(self, msg, ports):
-                if msg.frame_id % 2:
-                    return 0
-                dropped = 0
-                for port in ports:
-                    dropped += port.offer(msg)
-                return dropped
-
-        with DisplayDaemon(policy=EvenFramesOnly()) as daemon:
-            renderer = RendererInterface(daemon, codec="raw")
-            display = DisplayInterface(daemon)
-            for t in range(6):
-                renderer.send_frame(gradient_image, time_step=t, frame_id=t)
-            steps = [display.next_frame(timeout=5).time_step for _ in range(3)]
-            assert steps == [0, 2, 4]
-
-    def test_default_policy_is_broadcast(self):
-        from repro.daemon import BroadcastPolicy, DisplayDaemon
-
-        with DisplayDaemon() as daemon:
-            assert isinstance(daemon.policy, BroadcastPolicy)

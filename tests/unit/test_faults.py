@@ -5,7 +5,6 @@ operation sequence must yield the identical delivery trace, so failure
 scenarios are reproducible fixtures, never flaky luck.
 """
 
-import socket
 import time
 
 import pytest
@@ -120,13 +119,12 @@ class TestLossAndRetry:
         """The one retransmit loop works over a real socket: frames
         arrive in order, every lost attempt is one retransmit, and the
         endpoint logs each delivered frame once."""
-        a_sock, b_sock = socket.socketpair()
+        a_tcp, b = TcpConnection.pair()
         a = FaultyConnection(
-            TcpConnection(a_sock, name="a"),
+            a_tcp,
             FaultPlan(seed=5, loss_ratio=0.3),
             retry=RetryPolicy(max_attempts=10, backoff_s=0.0),
         )
-        b = TcpConnection(b_sock, name="b")
         try:
             frames = [f"frame{i}".encode() for i in range(40)]
             for frame in frames:

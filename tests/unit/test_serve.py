@@ -16,6 +16,7 @@ from join_surfaces import (
     join_surface,
     surface_stats,
 )
+from repro.compress.context import bound_codec
 from repro.devtools.waiting import wait_until
 from repro.scenario import synthetic_frames
 from repro.serve import (
@@ -174,6 +175,13 @@ def test_closed_broker_is_freed_without_the_cycle_collector(kind):
         gc.enable()
 
 
+def _broker_encoder(broker, tier):
+    """The encoder the broker's inline cache fills use for ``tier``."""
+    return bound_codec(
+        broker._encoders, broker._encoder_context, tier.codec, tier.quality
+    )
+
+
 class TestEncoderContextReuse:
     """Cold cache fills must reuse the broker's persistent encode state."""
 
@@ -185,7 +193,7 @@ class TestEncoderContextReuse:
             # frame geometry; every later fill must hit those exact arrays.
             broker._payload(0, tier, frames[0])
             ctx = broker._encoder_context
-            codec = broker._encoder(tier)
+            codec = _broker_encoder(broker, tier)
             allocs = ctx.stats["buffer_allocs"]
             assert allocs > 0  # the jpeg encoder really routes through ctx
             buffer_ids = {k: id(v) for k, v in ctx._buffers.items()}
@@ -195,7 +203,7 @@ class TestEncoderContextReuse:
                 broker._payload(i, tier, frame)
 
             assert broker.encodes == len(frames)  # all cold, none cached
-            assert broker._encoder(tier) is codec  # one codec per tier
+            assert _broker_encoder(broker, tier) is codec  # one codec per tier
             # No per-frame ndarray churn: zero new scratch allocations and
             # every pooled buffer/bit-sink is the same object as after the
             # warm-up frame.
@@ -209,7 +217,7 @@ class TestEncoderContextReuse:
         with SessionBroker() as broker:
             broker._payload(0, tier, frames[0])
             ctx = broker._encoder_context
-            codec = broker._encoder(tier)
+            codec = _broker_encoder(broker, tier)
             # The context-aware stage of the two-phase codec holds the
             # broker's context (use_context fans out to every stage that
             # supports one).
