@@ -176,8 +176,10 @@ class CodecContext:
         1.0 means steady state (no table was rebuilt, no buffer
         reallocated); 0.0 on a fresh context.  Encoders build their codes
         uncached, so only decode-table lookups count on the Huffman side.
-        The serving layer exports this per viewer session via
-        ``ServeStats``, beside ``code_bytes`` (``decode_cache_bytes``).
+        A ``ViewerHandle`` sends this and ``code_bytes`` on the ack of
+        each frame it decoded; the broker or relay serving it keeps the
+        last report in the session's stats (``decode_context_hit_ratio``,
+        ``decode_cache_bytes``).
         """
         hits = (
             self.stats["huffman_code_hits"]

@@ -17,7 +17,9 @@ forwarder and deliberately has no automaton):
 ``client``
     A viewer handle (:class:`repro.serve.session.ViewerHandle`).  It
     streams frames from a broker or relay, acknowledges them for
-    credit, and can seek or leave.
+    credit, and can seek or leave.  The ``ack`` of a frame it decoded
+    also carries its decode report (``hit_ratio``, ``code_bytes``),
+    which the host's pump validates and stores in the session stats.
 ``broker``
     The serving side of a viewer session
     (:class:`repro.serve.broker.SessionBroker` and the per-viewer

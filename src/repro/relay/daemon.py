@@ -42,7 +42,6 @@ import threading
 import time
 from typing import NamedTuple
 
-from repro.compress.context import CodecContext
 from repro.daemon.protocol import (
     ControlMessage,
     FrameMessage,
@@ -351,7 +350,7 @@ class FrameRelay:  # speaks: relay
             )
 
         handle = self._host.admit(
-            name, make, CodecContext(), fault_plan=fault_plan, retry=retry,
+            name, make, fault_plan=fault_plan, retry=retry,
             resume_from=resume_from,
         )
         self._notify()
@@ -437,7 +436,7 @@ class FrameRelay:  # speaks: relay
             return
         if isinstance(msg, FrameMessage):
             self._ingest_frame(msg, source)
-            try:  # return the upstream credit
+            try:  # return the upstream credit (a relay sends no report)
                 conn.send(
                     ControlMessage(
                         tag="ack", params={"frame_id": msg.frame_id}

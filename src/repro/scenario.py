@@ -135,6 +135,8 @@ class Viewer:
         self.gap_ranges: list[tuple[int, int]] = []
         self._lock = threading.Lock()
         self._receipts: list[tuple[int, float]] = []  # guarded-by: _lock
+        #: finished rejoins; -1 from a cut link until the next one
+        self._rejoins = 0  # guarded-by: _lock
         self._stop = threading.Event()
         self.handle = self._join(self.targets[self.at], plan, None)
         try:
@@ -206,7 +208,14 @@ class Viewer:
             except TimeoutError:
                 continue
             except ConnectionError:
-                if not self.reconnect or not self._rejoin():
+                if not self.reconnect:
+                    return
+                with self._lock:
+                    rejoins, self._rejoins = self._rejoins, -1
+                rejoined = self._rejoin()
+                with self._lock:
+                    self._rejoins = rejoins + 1
+                if not rejoined:
                     return
                 continue
             except FrameDecodeError:  # corrupted payload, typed + counted
@@ -216,6 +225,12 @@ class Viewer:
             with self._lock:
                 self._receipts.append((frame.frame_id, now))
             self._on_frame(frame.frame_id)
+
+    def rejoin_count(self) -> int | None:
+        """Rejoins finished so far; ``None`` while this viewer is
+        between a cut link and its next one."""
+        with self._lock:
+            return None if self._rejoins < 0 else self._rejoins
 
     def receipt_count(self) -> int:
         with self._lock:
@@ -333,6 +348,32 @@ class Topology:
             if pace_s:
                 time.sleep(pace_s)
         return published
+
+    def drain(self, timeout: float) -> bool:
+        """Wait until every tier has delivered the stream head to every
+        viewer; False when ``timeout`` ran out first.
+
+        A tier's ``drain`` waits only on its live sessions, so a viewer
+        between a cut link and its rejoin would not be waited for: wait
+        until no viewer is mid-rejoin, drain every tier, and drain
+        again when a viewer rejoined meanwhile.  (Not inside the tiers'
+        ``drain``: a parked session has no expiry, so a drain waiting
+        on one would wait out its timeout after every cut for good.)
+        """
+        deadline = time.monotonic() + timeout
+        pause = threading.Event()  # nobody sets it; a sleep the linter can see
+        while True:
+            before = [v.rejoin_count() for v in self.viewers]
+            if None not in before:
+                drained = [
+                    tier.drain(timeout=max(0.0, deadline - time.monotonic()))
+                    for tier in [self.origin, *self.relays]
+                ]
+                if [v.rejoin_count() for v in self.viewers] == before:
+                    return all(drained)
+            if time.monotonic() >= deadline:
+                return False
+            pause.wait(0.005)
 
     def kill_relay(self) -> None:
         """Kill the first relay abruptly (no goodbyes); its viewers must
@@ -549,8 +590,7 @@ def run_with_faults(
             topo.add_viewer(f"wan{i:02d}", i, plan=plan, reconnect=reconnect)
         t0 = time.perf_counter()
         topo.publish(frames, pace_s)
-        for tier in [topo.origin, *topo.relays]:
-            tier.drain(timeout=drain_timeout)
+        topo.drain(drain_timeout)
         elapsed = time.perf_counter() - t0
         stats = topo.origin.stats()
         session_stats = dict(stats.sessions)

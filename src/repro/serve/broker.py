@@ -151,8 +151,6 @@ class SessionBroker:  # speaks: broker
         that reconnects after a WAN cut has its buffered history
         replayed exactly like any viewer.
         """
-        context = CodecContext()
-
         def make(name: str, conn) -> ViewerSession:
             return ViewerSession(
                 name,
@@ -162,10 +160,9 @@ class SessionBroker:  # speaks: broker
                 controller=AdaptiveQualityController(
                     self.step_down_after, self.step_up_after
                 ),
-                codec_context=context,
             )
 
-        return self._host.admit(name, make, context, fault_plan=fault_plan,
+        return self._host.admit(name, make, fault_plan=fault_plan,
                                 retry=retry, resume_from=resume_from)
 
     def leave(self, name: str, *, resumable: bool = False) -> None:

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import threading
 
-from repro.compress.context import CodecContext
 from repro.daemon.protocol import ControlMessage, ProtocolError, decode_message
 from repro.devtools.guards import guarded_by
 from repro.net.faults import FaultPlan, FaultyConnection
@@ -66,6 +65,16 @@ def valid_frame_id(value) -> bool:
     """Whether a control's ``frame_id``-like parameter is usable: a
     non-negative ``int`` (``bool`` is an ``int`` to Python, not to us)."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _decode_report(params: dict):
+    """An ack's decode report, ``(hit ratio, code bytes)``: ``None``
+    when it has none, ``False`` when it is bad."""
+    ratio, code_bytes = params.get("hit_ratio"), params.get("code_bytes")
+    if ratio is None and code_bytes is None:
+        return None
+    good = isinstance(ratio, float) and 0.0 <= ratio <= 1.0
+    return (ratio, code_bytes) if good and valid_frame_id(code_bytes) else False
 
 
 def _unhooked(*args) -> None:
@@ -106,7 +115,6 @@ class SessionHost:
         self,
         name: str | None,
         make,
-        codec_context: CodecContext,
         *,
         fault_plan: FaultPlan | None,
         retry: RetryPolicy | None,
@@ -157,9 +165,7 @@ class SessionHost:
             self.spawn_locked(
                 self._pump, session, name=f"{name}@{self.label}-pump"
             )
-        return ViewerHandle(
-            name, viewer_side, codec_context, resumed=start is not None
-        )
+        return ViewerHandle(name, viewer_side, resumed=start is not None)
 
     # -- departure -------------------------------------------------------------
 
@@ -207,7 +213,8 @@ class SessionHost:
 
         Malformed traffic — undecodable bytes, non-control messages,
         controls with a missing or bogus ``frame_id`` — is dropped and
-        counted, never fed into the credit machinery.
+        counted, never fed into the credit machinery (a bad decode
+        report alone is dropped and counted; its credit comes back).
         """
         while True:
             try:
@@ -223,11 +230,12 @@ class SessionHost:
                 self._note_malformed()
             elif msg.tag == "ack":
                 frame_id = msg.params.get("frame_id")
-                if valid_frame_id(frame_id):
-                    session.on_ack(frame_id)
-                    self._changed()
-                else:
+                report = _decode_report(msg.params)
+                if report is False or not valid_frame_id(frame_id):
                     self._note_malformed()
+                if valid_frame_id(frame_id):
+                    session.on_ack(frame_id, report or None)
+                    self._changed()
             elif msg.tag == "seek":
                 frame_id = msg.params.get("frame_id", 0)
                 if valid_frame_id(frame_id):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,12 +154,15 @@ class Session:
         with self._lock:
             return self._send(ControlMessage(tag=tag, params=params))
 
-    def on_ack(self, frame_id: int) -> None:
-        """A credit came back: the consumer took ``frame_id``."""
+    def on_ack(self, frame_id: int, report: tuple | None = None) -> None:
+        """A credit (and maybe a decode ``report``) came back for ``frame_id``."""
         with self._lock:
             self.in_flight = max(0, self.in_flight - 1)
             self.last_acked = max(self.last_acked, frame_id)
             self._stats.acks += 1
+            if report is not None:
+                s = self._stats
+                s.decode_context_hit_ratio, s.decode_cache_bytes = report
 
     # -- lifecycle (driven by the session host) ------------------------------
 
@@ -203,7 +206,8 @@ class Session:
 
 class ViewerSession(Session):  # speaks: broker
     """Broker-side session: drops a frame when the viewer is out of
-    credits, and lets the drops and acks walk it along the tier ladder."""
+    credits, and lets the drops and acks walk it along the tier ladder.
+    Its decode stats are what the viewer last reported on an ack."""
 
     def __init__(
         self,
@@ -212,13 +216,10 @@ class ViewerSession(Session):  # speaks: broker
         ladder: TierLadder,
         credit_limit: int = 4,
         controller: AdaptiveQualityController | None = None,
-        codec_context: CodecContext | None = None,
     ):
         super().__init__(name, conn, credit_limit, tier=ladder[0].name)
         self.ladder = ladder
         self.controller = controller or AdaptiveQualityController()
-        #: the decode-side context shared with this session's ViewerHandle
-        self.codec_context = codec_context or CodecContext()
         self.tier_index = 0  # guarded-by: _lock
         #: frame ids replayed at resume time; a concurrent publish of
         #: one of these is a duplicate and must be suppressed (one-shot)
@@ -276,9 +277,9 @@ class ViewerSession(Session):  # speaks: broker
         with self._lock:
             self._stats.frames_skipped += 1
 
-    def on_ack(self, frame_id: int) -> None:
+    def on_ack(self, frame_id: int, report: tuple | None = None) -> None:
         """The returned credit also feeds the adaptive controller."""
-        super().on_ack(frame_id)
+        super().on_ack(frame_id, report)
         with self._lock:
             self._apply_delta(self.controller.on_ack(), frame_id, "recovered")
 
@@ -312,13 +313,6 @@ class ViewerSession(Session):  # speaks: broker
         with self._lock:
             return self.in_flight == 0 or not self.active
 
-    def stats_snapshot(self) -> SessionStats:
-        return replace(
-            super().stats_snapshot(),
-            decode_context_hit_ratio=self.codec_context.hit_ratio(),
-            decode_cache_bytes=self.codec_context.code_bytes,
-        )
-
 
 @dataclass(frozen=True)
 class ServedFrame:
@@ -333,19 +327,19 @@ class ServedFrame:
 
 
 class ViewerHandle:  # speaks: client
-    """The viewer's end of a broker session.
+    """The viewer's end of a broker or relay session.
 
     ``next_frame()`` blocks for the next delivered frame, decodes it with
-    this session's persistent :class:`CodecContext`, and acks it — the
-    ack is what returns the delivery credit, so a viewer that stops
-    calling ``next_frame`` is, by construction, a slow viewer.
+    the handle's own persistent :class:`CodecContext`, and acks it — the
+    ack returns the delivery credit (and, for a decoded frame, reports the
+    context's hit ratio and table bytes), so a viewer that stops calling
+    ``next_frame`` is, by construction, a slow viewer.
     """
 
-    def __init__(self, name: str, conn: FramedConnection,
-                 codec_context: CodecContext, resumed: bool = False):
+    def __init__(self, name: str, conn: FramedConnection, resumed: bool = False):
         self.name = name
         self.conn = conn
-        self.codec_context = codec_context
+        self.codec_context = CodecContext()
         self._codecs: dict[tuple[str, None], Codec] = {}
         #: most recent tier the broker told us we are watching
         self.current_tier: str | None = None
@@ -398,7 +392,7 @@ class ViewerHandle:  # speaks: client
                         raise FrameDecodeError(
                             f"frame {msg.frame_id} ({msg.codec}): {exc}"
                         ) from exc
-                self._ack(msg.frame_id)
+                self._ack(msg.frame_id, decoded=decode)
                 return ServedFrame(
                     frame_id=msg.frame_id,
                     time_step=msg.time_step,
@@ -419,11 +413,13 @@ class ViewerHandle:  # speaks: client
                 self.unknown_controls += 1
                 continue
 
-    def _ack(self, frame_id: int) -> None:
+    def _ack(self, frame_id: int, decoded: bool) -> None:
+        params = {"frame_id": frame_id}
+        if decoded:  # the decode report rides the ack
+            ctx = self.codec_context
+            params.update(hit_ratio=ctx.hit_ratio(), code_bytes=ctx.code_bytes)
         try:
-            self.conn.send(
-                ControlMessage(tag="ack", params={"frame_id": frame_id}).encode()
-            )
+            self.conn.send(ControlMessage(tag="ack", params=params).encode())
         except ChannelClosed:
             pass
 

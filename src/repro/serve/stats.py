@@ -41,8 +41,8 @@ class SessionStats:
     bytes_sent: int = 0
     acks: int = 0
     transitions: list[TierTransition] = field(default_factory=list)
+    #: the consumer's CodecContext hit_ratio() and code_bytes, as last acked
     decode_context_hit_ratio: float = 0.0
-    #: bytes the viewer's decode-table cache holds (CodecContext.code_bytes)
     decode_cache_bytes: int = 0
     active: bool = True
     #: times this logical session reconnected and resumed its stream
@@ -67,7 +67,7 @@ class HostCounters:
     once per snapshot."""
 
     #: traffic dropped for being malformed (undecodable bytes, a
-    #: non-control message from a viewer, a bad or missing frame_id)
+    #: non-control message, a bad or missing frame_id, a bad decode report)
     malformed: int = 0
     #: well-formed controls with a tag nobody here handles
     #: (version-skewed or misbehaving peers)
@@ -107,7 +107,7 @@ class ServeStats:
     cache_bytes: int = 0
     cache_entries: int = 0
     #: control messages dropped because they were malformed (bad or
-    #: missing frame_id, non-control traffic from a viewer)
+    #: missing frame_id, a bad decode report, non-control traffic)
     malformed_controls: int = 0
     #: well-formed controls with a tag the broker does not handle
     #: (version-skewed or misbehaving viewers)

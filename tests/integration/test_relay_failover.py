@@ -11,7 +11,12 @@ import time
 
 from repro.net.faults import FaultPlan
 from repro.relay import FrameRelay, PrefetchPolicy, RelayRing
-from repro.scenario import run_relay_topology, run_with_faults, synthetic_frames
+from repro.scenario import (
+    Viewer,
+    run_relay_topology,
+    run_with_faults,
+    synthetic_frames,
+)
 from repro.serve.broker import SessionBroker
 
 
@@ -122,6 +127,27 @@ class TestRelayUnderFaultGrid:
         )
         for session in report["sessions"].values():
             assert session["observed_duplicates"] == 0
+
+    def test_a_slow_rejoin_is_waited_for(self, monkeypatch):
+        """A viewer still rejoining when the publisher finishes is
+        waited for: the relays' own drains count only live sessions, so
+        without the scenario's wait the report counted just the frames
+        acked before the cut (0.375)."""
+        rejoin = Viewer._rejoin
+
+        def slow_rejoin(viewer):
+            time.sleep(0.4)
+            return rejoin(viewer)
+
+        monkeypatch.setattr(Viewer, "_rejoin", slow_rejoin)
+        report = run_with_faults(
+            FaultPlan(seed=5, loss_ratio=0.02, disconnect_after=12),
+            n_frames=32,
+            n_viewers=2,
+            pace_s=0.01,
+            relays=2,
+        )
+        assert report["delivered_ratio"] >= 0.99, report
 
 
 class TestPrefetchUnderPressure:

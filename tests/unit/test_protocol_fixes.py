@@ -20,7 +20,6 @@ import time
 import numpy as np
 
 from repro.compress import get_codec
-from repro.compress.context import CodecContext
 from repro.core import RemoteVisualizationSession
 from repro.daemon import DisplayDaemon, DisplayInterface
 from repro.daemon.protocol import ControlMessage, FrameMessage, decode_message
@@ -110,7 +109,7 @@ class TestRelayGapFastSkip:
 class TestViewerHandleUnknownControls:
     def test_unhandled_controls_are_counted_not_dropped(self):
         broker_side, viewer_side = FramedConnection.pair("b", "v")
-        handle = ViewerHandle("v", viewer_side, CodecContext())
+        handle = ViewerHandle("v", viewer_side)
         image = np.arange(8 * 8 * 3, dtype=np.uint8).reshape(8, 8, 3)
         payload = get_codec("raw").encode_image(image)
         broker_side.send(

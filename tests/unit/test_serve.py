@@ -17,6 +17,7 @@ from join_surfaces import (
     surface_stats,
 )
 from repro.compress.context import bound_codec
+from repro.daemon.protocol import ControlMessage, FrameMessage, decode_message
 from repro.devtools.waiting import wait_until
 from repro.scenario import synthetic_frames
 from repro.serve import (
@@ -36,6 +37,17 @@ LOSSLESS_LADDER = TierLadder(
         QualityTier("skip", "rle", frame_stride=2),
     )
 )
+
+#: one lossy tier, so decoding builds Huffman tables the report counts
+JPEG_LADDER = TierLadder((QualityTier("hq", "jpeg", quality=75),))
+
+
+def _recv_frame_id(handle) -> int:
+    """The id of the next frame on ``handle``'s link, not acked."""
+    while True:
+        msg = decode_message(handle.conn.recv(timeout=5.0))
+        if isinstance(msg, FrameMessage):
+            return msg.frame_id
 
 
 class TestFrameCache:
@@ -134,6 +146,57 @@ class TestJoinSurface:
             assert handle.next_frame(timeout=5.0).frame_id == 0
             # and the replacement's own state was not parked over
             assert surface_stats(target).sessions["v"].active
+
+    def test_the_decode_report_rides_the_ack(self, kind):
+        """The tier serving a decoding viewer reports its decode cache
+        from the viewer's acks; a relay decodes nothing, so its own
+        session at the origin reports none."""
+        images = synthetic_frames(3, size=32)
+        with join_surface(kind, ladder=JPEG_LADDER) as (target, origin):
+            handle = target.join("v")
+            for fid, image in enumerate(images + images):
+                origin.publish(image, time_step=fid % 3, frame_id=fid)
+                assert handle.next_frame(timeout=5.0).image is not None
+            assert target.drain(timeout=5.0)  # the last report has landed
+            session = surface_stats(target).sessions["v"]
+            ctx = handle.codec_context
+            assert session.decode_cache_bytes == ctx.code_bytes > 0
+            assert session.decode_context_hit_ratio == ctx.hit_ratio() > 0
+            if target is not origin:
+                for upstream in origin.stats().sessions.values():
+                    assert upstream.decode_cache_bytes == 0
+                    assert upstream.decode_context_hit_ratio == 0.0
+
+    def test_a_bad_report_still_returns_its_credit(self, kind):
+        """An ack whose decode report is bad is counted as malformed and
+        its report dropped, but the credit it carries still comes back."""
+        images = synthetic_frames(5, size=32)
+        bad_reports = (
+            {"hit_ratio": "0.5", "code_bytes": 10},
+            {"hit_ratio": 0.5, "code_bytes": -1},
+            {"hit_ratio": True, "code_bytes": 10},
+            {"hit_ratio": 0.5, "code_bytes": True},
+        )
+        with join_surface(kind, ladder=JPEG_LADDER) as (target, origin):
+            handle = target.join("v")
+            origin.publish(images[0], frame_id=0)
+            assert handle.next_frame(timeout=5.0).frame_id == 0
+            assert target.drain(timeout=5.0)
+            good = surface_stats(target).sessions["v"]
+            assert good.decode_cache_bytes > 0
+            for fid, report in enumerate(bad_reports, start=1):
+                origin.publish(images[fid], frame_id=fid)
+                assert _recv_frame_id(handle) == fid
+                handle.conn.send(ControlMessage(
+                    tag="ack", params={"frame_id": fid, **report}).encode())
+            assert target.drain(timeout=5.0)  # every credit came back
+            stats = surface_stats(target)
+            assert stats.malformed == len(bad_reports)
+            session = stats.sessions["v"]
+            assert session.acks == 1 + len(bad_reports)
+            assert (session.decode_context_hit_ratio,
+                    session.decode_cache_bytes) == (
+                good.decode_context_hit_ratio, good.decode_cache_bytes)
 
 
 @pytest.mark.parametrize("kind", ("broker", "relay"))
@@ -324,12 +387,12 @@ class TestBroker:
         """A decoding viewer's stats carry its decode-table cache's bytes
         beside its hit ratio; replaying the same frames hits it."""
         frames = synthetic_frames(3, size=32)
-        ladder = TierLadder((QualityTier("hq", "jpeg", quality=75),))
-        with SessionBroker(ladder=ladder) as broker:
+        with SessionBroker(ladder=JPEG_LADDER) as broker:
             handle = broker.join("v0")
             for fid, image in enumerate(frames + frames):
                 broker.publish(image, time_step=fid % 3, frame_id=fid)
                 assert handle.next_frame(timeout=5.0).image is not None
+            assert broker.drain(timeout=5.0)  # the reporting acks landed
             stats = broker.stats().sessions["v0"]
             ctx = handle.codec_context
             assert stats.decode_cache_bytes == ctx.code_bytes > 0
